@@ -213,8 +213,6 @@ func Short(key string) string {
 var waitMethods = map[string]bool{
 	"Synchronize":          true,
 	"SynchronizeOn":        true,
-	"WaitElapsed":          true,
-	"WaitElapsedOn":        true,
 	"WaitElapsedOnTimeout": true,
 	"Barrier":              true,
 }

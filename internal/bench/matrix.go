@@ -11,7 +11,6 @@ import (
 	// Register every backend so an empty scheme list sweeps them all.
 	_ "prudence/internal/ebr"
 	_ "prudence/internal/hp"
-	_ "prudence/internal/nebr"
 	_ "prudence/internal/rcu"
 )
 

@@ -39,7 +39,6 @@ import (
 	"prudence/internal/fault"
 	"prudence/internal/metrics"
 	"prudence/internal/pagealloc"
-	"prudence/internal/rcu"
 	"prudence/internal/slabcore"
 	"prudence/internal/stats"
 	gsync "prudence/internal/sync"
@@ -97,25 +96,16 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// GracePeriods is the integration surface the paper's §4 (requirement
-// ii) adds to the synchronization mechanism: a pollable grace-period
-// state. Prudence is agnostic to HOW grace periods are detected —
-// context-switch counting (internal/rcu), epoch-based reclamation
-// (internal/ebr, internal/nebr) and hazard-pointer scanning
-// (internal/hp) all satisfy it, demonstrating the paper's point that
-// the added complexity stays inside the allocator.
-//
-// Deprecated: GracePeriods is now an alias for the canonical
-// internal/sync.Backend interface, which unified the historical
-// per-engine surfaces (this interface, the facade's private readSync,
-// rcuhash.Sync, rculist.ReadSync). New code should name sync.Backend
-// directly; the alias is kept so existing callers compile unchanged.
-type GracePeriods = gsync.Backend
-
 // Allocator is the Prudence allocator.
 type Allocator struct {
-	pages   *pagealloc.Allocator
-	rcu     GracePeriods
+	pages *pagealloc.Allocator
+	// gp is the grace-period provider: the paper's §4 (requirement ii)
+	// pollable grace-period state. Prudence is agnostic to how grace
+	// periods are detected — context-switch counting (internal/rcu),
+	// epochs (internal/ebr, as "ebr" or "nebr") and hazard-pointer
+	// scanning (internal/hp) all implement sync.Backend — so the added
+	// complexity stays inside the allocator.
+	gp      gsync.Backend
 	machine *vcpu.Machine
 	opts    Options
 
@@ -130,13 +120,12 @@ type Allocator struct {
 var _ alloc.Allocator = (*Allocator)(nil)
 
 // New creates a Prudence allocator. machine provides the per-CPU idle
-// workers used for pre-flush; r is the grace-period provider whose
-// state the allocator polls (internal/rcu's engine or any other
-// GracePeriods implementation, e.g. internal/ebr).
-func New(pages *pagealloc.Allocator, r GracePeriods, machine *vcpu.Machine, opts Options) *Allocator {
+// workers used for pre-flush; gp is the grace-period provider whose
+// state the allocator polls (any registered sync.Backend).
+func New(pages *pagealloc.Allocator, gp gsync.Backend, machine *vcpu.Machine, opts Options) *Allocator {
 	return &Allocator{
 		pages:   pages,
-		rcu:     r,
+		gp:      gp,
 		machine: machine,
 		opts:    opts.withDefaults(),
 	}
@@ -157,7 +146,7 @@ func (a *Allocator) NewCache(cfg slabcore.CacheConfig) alloc.Cache {
 		cl := &cpuLocal{
 			objs: slabcore.NewPerCPUCache(c.base.Cfg.CacheSize),
 		}
-		cl.elapsedFn = func(ck rcu.Cookie) bool { return c.elapsedLocal(cl, ck) }
+		cl.elapsedFn = func(ck gsync.Cookie) bool { return c.elapsedLocal(cl, ck) }
 		c.percpu[i] = cl
 	}
 	c.placeFn = c.placement
@@ -195,7 +184,7 @@ func (a *Allocator) RegisterMetrics(r *metrics.Registry) {
 // latentObj is one deferred object in a latent cache.
 type latentObj struct {
 	ref    slabcore.Ref
-	cookie rcu.Cookie
+	cookie gsync.Cookie
 }
 
 // cpuLocal is one CPU's object cache plus latent cache, guarded by the
@@ -227,16 +216,16 @@ type cpuLocal struct {
 
 	// elapsedMax caches the highest grace-period cookie this CPU has
 	// observed to elapse. Cookies are monotone ("once elapsed, always
-	// elapsed" holds for every GracePeriods implementation), so queries
+	// elapsed" holds for every sync.Backend), so queries
 	// at or below the cached value answer locally instead of re-reading
 	// the engine's shared completed-GP line on every latent-entry poll.
 	// Guarded by the cache lock.
-	elapsedMax rcu.Cookie //prudence:guarded_by objs
+	elapsedMax gsync.Cookie //prudence:guarded_by objs
 
 	// elapsedFn is the prebuilt cached-poll closure handed to
 	// slabcore.Reconcile from paths holding this CPU's cache lock,
 	// built once in NewCache so the hot path never allocates one.
-	elapsedFn func(rcu.Cookie) bool
+	elapsedFn func(gsync.Cookie) bool
 
 	_ [40]byte // pad to 128 bytes; sized by TestCPULocalPadding
 }
@@ -283,7 +272,7 @@ func (c *Cache) Fragmentation() (float64, int64, int64) {
 // this cache's latent caches and latent slabs.
 func (c *Cache) LatentTotal() int64 { return c.latentTotal.Load() }
 
-func (c *Cache) elapsed(ck rcu.Cookie) bool { return c.alloc.rcu.Elapsed(ck) }
+func (c *Cache) elapsed(ck gsync.Cookie) bool { return c.alloc.gp.Elapsed(ck) }
 
 // elapsedLocal answers a grace-period poll from cl's cached high-water
 // cookie when possible, touching the engine's shared state only for
@@ -291,11 +280,11 @@ func (c *Cache) elapsed(ck rcu.Cookie) bool { return c.alloc.rcu.Elapsed(ck) }
 // Caller holds cl's cache lock.
 //
 //prudence:requires PerCPUCache
-func (c *Cache) elapsedLocal(cl *cpuLocal, ck rcu.Cookie) bool {
+func (c *Cache) elapsedLocal(cl *cpuLocal, ck gsync.Cookie) bool {
 	if ck <= cl.elapsedMax {
 		return true
 	}
-	if c.alloc.rcu.Elapsed(ck) {
+	if c.alloc.gp.Elapsed(ck) {
 		cl.elapsedMax = ck
 		return true
 	}
@@ -341,7 +330,7 @@ func (c *Cache) Malloc(cpu int) (slabcore.Ref, error) {
 		// starved waiting on grace-period progress: raise expedited
 		// demand so the engine advances now instead of at timer cadence.
 		if len(cl.latent) > 0 && !c.elapsedLocal(cl, cl.latent[0].cookie) {
-			c.alloc.rcu.ExpediteGP()
+			c.alloc.gp.ExpediteGP()
 		}
 		if n := c.mergeCaches(cl); n > 0 {
 			c.base.Trace(trace.KindMerge, cpu, int64(n), 0)
@@ -411,10 +400,10 @@ func (c *Cache) Malloc(cpu int) (slabcore.Ref, error) {
 		wait := c.alloc.opts.OOMDelayWait << min(oomTimeouts, 4)
 		// The OOM-delay wait is the most starved caller there is: the
 		// allocation cannot proceed until a grace period frees memory.
-		c.alloc.rcu.ExpediteGP()
+		c.alloc.gp.ExpediteGP()
 		//prudence:fault_point
 		elapsed := !fault.Fire(fault.OOMDelayExpire) &&
-			c.alloc.rcu.WaitElapsedOnTimeout(cpu, c.alloc.rcu.Snapshot(), wait)
+			c.alloc.gp.WaitElapsedOnTimeout(cpu, c.alloc.gp.Snapshot(), wait)
 		if !elapsed {
 			ctr.OOMDelayTimeouts.Add(1)
 			oomTimeouts++
@@ -549,7 +538,7 @@ func (c *Cache) placement(s *slabcore.Slab) slabcore.ListID {
 // list. elapsed is the caller's grace-period poll (refill passes the
 // CPU's cached one so a scan costs at most one shared-state read).
 // Caller holds the node lock. Returns nil if nothing allocatable.
-func (c *Cache) selectSlab(node *slabcore.Node, elapsed func(rcu.Cookie) bool) *slabcore.Slab {
+func (c *Cache) selectSlab(node *slabcore.Node, elapsed func(gsync.Cookie) bool) *slabcore.Slab {
 	var best, fallback *slabcore.Slab
 	var misplaced []*slabcore.Slab
 	bestScore := -1
@@ -712,8 +701,8 @@ func (c *Cache) FreeDeferred(cpu int, r slabcore.Ref) {
 	ctr := &c.base.Ctr
 	ctr.IncDeferredFrees(cpu)
 	c.base.UserFree(cpu)
-	cookie := c.alloc.rcu.Snapshot() // line 35: GET_GRACE_PERIOD_STATE
-	c.alloc.rcu.NeedGP()
+	cookie := c.alloc.gp.Snapshot() // line 35: GET_GRACE_PERIOD_STATE
+	c.alloc.gp.NeedGP()
 
 	cl := c.percpu[cpu]
 	threshold := c.base.Cfg.CacheSize // latent cache limit = object cache size (§4.1)
@@ -757,13 +746,13 @@ func (c *Cache) FreeDeferred(cpu int, r slabcore.Ref) {
 
 	// Spilling means the deferred-free rate has outrun grace-period
 	// progress (merge could not free latent space): expedite.
-	c.alloc.rcu.ExpediteGP()
+	c.alloc.gp.ExpediteGP()
 	c.spillLatentBatch(spill)
 }
 
 // putLatentSlab parks a deferred object in its slab's latent list and
 // performs PRE_MOVE_SLAB (lines 52-59).
-func (c *Cache) putLatentSlab(r slabcore.Ref, cookie rcu.Cookie) {
+func (c *Cache) putLatentSlab(r slabcore.Ref, cookie gsync.Cookie) {
 	node := r.Slab.Node()
 	node.Lock()
 	r.Slab.PushLatent(r.Idx, cookie)
@@ -789,7 +778,7 @@ func (c *Cache) putLatentSlab(r slabcore.Ref, cookie rcu.Cookie) {
 // would starve the other CPUs (and thereby the grace period itself).
 func (c *Cache) maybeShrink(node *slabcore.Node) {
 	gate := &c.shrinkGate[node.ID()]
-	gp := c.alloc.rcu.GPsCompleted() + 1 // +1: GP 0 state must still allow the first shrink
+	gp := c.alloc.gp.GPsCompleted() + 1 // +1: GP 0 state must still allow the first shrink
 	for {
 		last := gate.Load()
 		if gp == last {
@@ -951,13 +940,13 @@ func (c *Cache) Drain() {
 		// looping would spin forever. This is the teardown race a
 		// long-running service's Close hits: give up on the latent
 		// remainder — the arena behind it is being released anyway.
-		if c.alloc.rcu.Stopped() {
+		if c.alloc.gp.Stopped() {
 			return
 		}
 		// Latent objects remain, or a concurrent idle pre-flush merged
 		// objects into a CPU cache after we flushed it; wait out a
 		// grace period and retry.
-		c.alloc.rcu.Synchronize()
+		c.alloc.gp.Synchronize()
 	}
 }
 

@@ -1,69 +1,97 @@
-// Package ebr implements epoch-based reclamation (Fraser-style EBR,
-// one of the memory reclamation schemes surveyed by Hart et al., the
-// paper's [22]) as an alternative grace-period provider for Prudence.
+// Package ebr implements epoch-based reclamation (Fraser-style EBR, one
+// of the memory reclamation schemes surveyed by Hart et al., the
+// paper's [22]) as a grace-period provider for Prudence, with two
+// straggler policies on one engine.
 //
 // Where internal/rcu detects reader completion through context-switch
 // quiescent states, EBR does it through epochs: each CPU entering a
 // critical section pins the global epoch it observed; the global epoch
-// may advance only when every pinned CPU has observed the current one.
-// A deferred object is safe once the global epoch has advanced twice
-// past its stamp — readers from the stamp's epoch can survive at most
-// one advance.
+// may advance only when no CPU remains pinned at an older one. A
+// deferred object is safe once the global epoch has advanced twice past
+// its stamp — readers from the stamp's epoch survive at most one
+// advance.
 //
-// The package satisfies core.GracePeriods, demonstrating the paper's
-// turnkey claim: Prudence runs unchanged over a completely different
-// procrastination-based synchronization mechanism, with all added
-// complexity confined to the allocator side.
+// What the advancer does about a straggler — a CPU pinned below the
+// current epoch — is the policy, picked by the registered name:
+//
+//   - "ebr" waits it out, however long it takes. One reader stalled
+//     inside a critical section stops reclamation system-wide.
+//   - "nebr" is DEBRA+-style neutralization (Brown, arXiv:1712.01044):
+//     once an advance has been blocked longer than NeutralizeAfter, the
+//     advancer delivers a vcpu interrupt (the signal analogue) whose
+//     handler CASes the straggler's pin away and marks the CPU
+//     neutralized. The reader learns of it through Neutralized or its
+//     next ReadLock and must restart rather than trust what it read
+//     after the neutralization. A lost signal (the nebr_neutralize_lost
+//     fault point) leaves the pin in place; the next pass retries —
+//     degraded progress, never unsafety.
+//
+// Prudence runs unchanged over either, demonstrating the paper's
+// turnkey claim: the allocator needs only the pollable grace-period
+// state of sync.Backend, whatever mechanism detects reader completion.
 package ebr
 
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"prudence/internal/fault"
 	"prudence/internal/metrics"
-	"prudence/internal/stats"
 	gsync "prudence/internal/sync"
 	"prudence/internal/vcpu"
 )
+
+// DefaultNeutralizeAfter is the straggler bound the "nebr" registration
+// uses: two orders of magnitude above a healthy critical section, so
+// only genuinely stalled readers are ever restarted.
+const DefaultNeutralizeAfter = 10 * time.Millisecond
 
 // Options configures the epoch engine.
 type Options struct {
 	// AdvanceInterval is the minimum gap between epoch advances
 	// (default 200µs). Two advances make one grace period.
 	AdvanceInterval time.Duration
-	// PollInterval is how often the advancer re-checks pinned CPUs
-	// (default 20µs).
+	// PollInterval is how often the advancer re-checks pinned CPUs and
+	// the limbo drainer re-checks elapsed cookies (default 20µs).
 	PollInterval time.Duration
-	// RetireBatch bounds how many retired objects the limbo drainer
-	// invokes per burst (default 32); RetireDelay is the pause between
+	// NeutralizeAfter picks the straggler policy: zero waits stragglers
+	// out (plain EBR); a positive bound neutralizes CPUs that block an
+	// advance for longer than it (DEBRA+).
+	NeutralizeAfter time.Duration
+	// RetireBatch bounds how many retirements the limbo drainer
+	// reclaims per burst (default 32); RetireDelay is the pause between
 	// bursts (default 0).
 	RetireBatch int
 	RetireDelay time.Duration
-	// RetireExpeditedBatch and RetireQhimark are the limbo drainer's
+	// RetireExpeditedBatch and RetireQhimark are the drainer's
 	// pressure-scaling knobs (see sync.QueueOptions): the burst bound
-	// under pressure/backlog, and the backlog past which batch limits
-	// come off and the drainer raises expedited epoch demand.
+	// under pressure or backlog, and the backlog past which batch
+	// limits come off and the drainer raises expedited epoch demand.
 	RetireExpeditedBatch int
 	RetireQhimark        int
 }
 
 func init() {
-	gsync.Register("ebr", func(m *vcpu.Machine, o gsync.Options) gsync.Backend {
+	gsync.Register("ebr", factory(0))
+	gsync.Register("nebr", factory(DefaultNeutralizeAfter))
+}
+
+func factory(neutralizeAfter time.Duration) gsync.Factory {
+	return func(m *vcpu.Machine, o gsync.Options) gsync.Backend {
 		return New(m, Options{
 			// Two epoch advances make one grace period, so the generic
 			// grace-period interval halves into the advance interval.
 			AdvanceInterval:      o.GPInterval / 2,
 			PollInterval:         o.PollInterval,
+			NeutralizeAfter:      neutralizeAfter,
 			RetireBatch:          o.RetireBatch,
 			RetireDelay:          o.RetireDelay,
 			RetireExpeditedBatch: o.ExpeditedBlimit,
 			RetireQhimark:        o.Qhimark,
 		})
-	})
+	}
 }
 
 func (o Options) withDefaults() Options {
@@ -78,60 +106,53 @@ func (o Options) withDefaults() Options {
 
 type cpuState struct {
 	// pinned is 0 when outside any critical section; when inside, it
-	// holds 1 + the global epoch observed at entry.
+	// holds 1 + the global epoch observed at entry. The neutralize
+	// handler may CAS it to 0 from under a stalled reader.
 	pinned  atomic.Uint64
 	nesting int32 // owner-goroutine only
-	// qsCalls counts QuiescentState invocations for the periodic
-	// scheduler yield (owner-goroutine only; atomic for the race
-	// detector's benefit).
+	// neutralized is set by the interrupt handler when the CPU's pin
+	// was forcibly cleared; the owner consumes it at its next ReadLock
+	// or through Neutralized.
+	neutralized atomic.Bool
+	// qsCalls counts QuiescentState calls for the periodic scheduler
+	// yield (owner-goroutine only; atomic for the race detector).
 	qsCalls atomic.Uint32
 }
 
-// EBR is the epoch engine. Read-side sections are delimited with
-// Enter/Exit; the engine exposes the same pollable grace-period state
-// as internal/rcu (cookies in completed-grace-period units, where one
-// grace period is two epoch advances).
+// EBR is the epoch engine. Cookies are epochs: Snapshot returns the
+// current epoch + 2 and a cookie has elapsed once the global epoch
+// reaches it.
 type EBR struct {
+	gsync.Driver
+
 	machine *vcpu.Machine
 	opts    Options
 	percpu  []*cpuState
+	queue   *gsync.RetireQueue
 
 	epoch atomic.Uint64 // global epoch counter
-	// needGP is plain demand; expedite additionally asks the advancer
-	// to skip the inter-advance pacing gap. Both are cleared when the
-	// grace period (advance pair) they hastened completes.
-	needGP   atomic.Bool
-	expedite atomic.Bool
-	// expeditedAdvances counts epoch advances taken on the expedited
-	// path (pacing gap skipped).
-	expeditedAdvances atomic.Uint64
-	gpHist            stats.Histogram // latency of each two-advance grace period
-	queue             *gsync.RetireQueue
 
-	gpMu   sync.Mutex
-	gpCond *sync.Cond
-	kick   chan struct{}
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	wg       sync.WaitGroup
+	neutralizations atomic.Uint64 // interrupts that cleared a pin
+	signalsLost     atomic.Uint64 // neutralize signals the fault layer dropped
+	restarts        atomic.Uint64 // neutralizations consumed by readers
 }
 
-// New creates and starts an epoch engine for machine.
+// New creates and starts an epoch engine for machine. With
+// neutralization armed, the engine installs itself as each CPU's
+// interrupt handler.
 func New(machine *vcpu.Machine, opts Options) *EBR {
 	e := &EBR{
 		machine: machine,
 		opts:    opts.withDefaults(),
 		percpu:  make([]*cpuState, machine.NumCPU()),
-		kick:    make(chan struct{}, 1),
-		stop:    make(chan struct{}),
 	}
-	e.gpCond = sync.NewCond(&e.gpMu)
 	for i := range e.percpu {
 		e.percpu[i] = &cpuState{}
+		if e.opts.NeutralizeAfter > 0 {
+			cpu := i
+			machine.SetInterruptOn(cpu, func() { e.neutralize(cpu) })
+		}
 	}
-	e.wg.Add(1)
-	go e.advancer()
 	e.queue = gsync.NewRetireQueue(e, machine.NumCPU(), gsync.QueueOptions{
 		Batch:          e.opts.RetireBatch,
 		ExpeditedBatch: e.opts.RetireExpeditedBatch,
@@ -139,26 +160,27 @@ func New(machine *vcpu.Machine, opts Options) *EBR {
 		Delay:          e.opts.RetireDelay,
 		Poll:           e.opts.PollInterval,
 	})
+	e.Start(gsync.Policy{
+		Interval: e.opts.AdvanceInterval,
+		Snapshot: e.Snapshot,
+		Elapsed:  e.Elapsed,
+		Backlog:  e.queue.Pending,
+		Quiesce:  e.quiesce,
+		Advance:  func() bool { return e.epoch.Add(1)%2 == 0 },
+		Park:     e.park,
+	})
 	return e
 }
 
-// Stop shuts the engine down.
+// Stop shuts the engine down, reclaiming already-elapsed retirements,
+// and uninstalls its interrupt handlers.
 func (e *EBR) Stop() {
-	e.stopOnce.Do(func() { close(e.stop) })
-	e.wg.Wait()
+	e.Driver.Stop()
 	e.queue.Stop()
-	e.gpMu.Lock()
-	e.gpCond.Broadcast()
-	e.gpMu.Unlock()
-}
-
-// Stopped reports whether Stop has begun.
-func (e *EBR) Stopped() bool {
-	select {
-	case <-e.stop:
-		return true
-	default:
-		return false
+	if e.opts.NeutralizeAfter > 0 {
+		for i := range e.percpu {
+			e.machine.SetInterruptOn(i, nil)
+		}
 	}
 }
 
@@ -169,17 +191,27 @@ func (e *EBR) cpu(id int) *cpuState {
 	return e.percpu[id]
 }
 
-// Enter begins a read-side critical section on cpu, pinning the epoch
-// it observes. Sections may nest.
-func (e *EBR) Enter(cpu int) {
+func (e *EBR) park(cpu int) bool {
+	if e.cpu(cpu).nesting > 0 {
+		panic("ebr: grace-period wait inside critical section")
+	}
+	return false
+}
+
+// ReadLock begins a read-side critical section on cpu, pinning the
+// epoch it observes. Sections may nest. Entering clears a pending
+// neutralization mark: the restart it demanded is this very re-entry.
+func (e *EBR) ReadLock(cpu int) {
 	cs := e.cpu(cpu)
 	if cs.nesting == 0 {
+		if cs.neutralized.Load() && cs.neutralized.Swap(false) {
+			e.restarts.Add(1)
+		}
 		// Pin-then-recheck: the advancer may pass between our epoch
 		// load and the pin store (it would have seen us unpinned). If
 		// the epoch moved, re-pin at the new value — nothing has been
-		// accessed yet, so observing the newer epoch is safe. Once the
-		// epoch is stable across the pin, any later advance must see
-		// the pin.
+		// accessed yet. Once the epoch is stable across the pin, any
+		// later advance must see it.
 		for {
 			cur := e.epoch.Load()
 			cs.pinned.Store(1 + cur)
@@ -191,16 +223,35 @@ func (e *EBR) Enter(cpu int) {
 	cs.nesting++
 }
 
-// Exit ends a read-side critical section on cpu.
-func (e *EBR) Exit(cpu int) {
+// ReadUnlock ends a read-side critical section on cpu. If the section
+// was neutralized mid-flight the pin is already gone; the mark is left
+// for Neutralized (or the next ReadLock).
+func (e *EBR) ReadUnlock(cpu int) {
 	cs := e.cpu(cpu)
 	cs.nesting--
 	if cs.nesting < 0 {
-		panic("ebr: unbalanced Exit")
+		panic("ebr: unbalanced ReadUnlock")
 	}
 	if cs.nesting == 0 {
-		cs.pinned.Store(0)
+		// CAS, not Store: racing the neutralize handler, exactly one of
+		// us clears the pin, and a pin the handler cleared must not be
+		// resurrected here.
+		if p := cs.pinned.Load(); p != 0 {
+			cs.pinned.CompareAndSwap(p, 0)
+		}
 	}
+}
+
+// Neutralized reports and consumes cpu's neutralization mark. A
+// DEBRA+-correct reader polls it after a critical section and restarts
+// the operation when it reports true, because protection lapsed at some
+// point after entry.
+func (e *EBR) Neutralized(cpu int) bool {
+	if e.cpu(cpu).neutralized.Swap(false) {
+		e.restarts.Add(1)
+		return true
+	}
+	return false
 }
 
 // Held reports whether cpu is inside a critical section.
@@ -209,271 +260,91 @@ func (e *EBR) Held(cpu int) bool { return e.cpu(cpu).nesting > 0 }
 // Epoch returns the current global epoch.
 func (e *EBR) Epoch() uint64 { return e.epoch.Load() }
 
-// --- core.GracePeriods ---
-//
-// Cookies are expressed in epochs: a cookie c is elapsed once the
-// global epoch is at least c. Snapshot returns now+2: readers pinned at
-// the current epoch may survive one advance (the advance waits only for
-// CPUs pinned at OLDER epochs), so two advances bound their lifetime.
-
-// Snapshot returns a grace-period cookie.
-func (e *EBR) Snapshot() gsync.Cookie {
-	return gsync.Cookie(e.epoch.Load() + 2)
-}
-
-// Elapsed reports whether the cookie's grace period has passed.
-func (e *EBR) Elapsed(c gsync.Cookie) bool {
-	return e.epoch.Load() >= uint64(c)
-}
-
-// NeedGP signals demand for epoch advances.
-func (e *EBR) NeedGP() {
-	e.needGP.Store(true)
-	// Chaos: a lost wakeup drops the kick after demand is recorded; the
-	// advancer's timer fallback must recover.
-	//prudence:fault_point
-	if fault.Fire(fault.LostWakeup) {
-		return
-	}
-	select {
-	case e.kick <- struct{}{}:
-	default:
-	}
-}
-
-// ExpediteGP raises expedited demand: the advancer skips the
-// inter-advance pacing gap for the next grace period (advance pair)
-// instead of holding AdvanceInterval between advances. The demand
-// survives a lost kick exactly as NeedGP's does — the advancer reads
-// the flag on its timer fallback.
-func (e *EBR) ExpediteGP() {
-	e.needGP.Store(true)
-	e.expedite.Store(true)
-	//prudence:fault_point
-	if fault.Fire(fault.LostWakeup) {
-		return
-	}
-	select {
-	case e.kick <- struct{}{}:
-	default:
-	}
-}
-
-// GPsCompleted returns completed grace periods (epoch advances halved,
-// so once-per-GP gates fire at the paper's granularity).
-func (e *EBR) GPsCompleted() uint64 { return e.epoch.Load() / 2 }
-
-// ExpeditedAdvances returns how many epoch advances skipped the pacing
-// gap on expedited demand.
-func (e *EBR) ExpeditedAdvances() uint64 { return e.expeditedAdvances.Load() }
-
-// WaitElapsedOn blocks until cookie c elapses. EBR readers cannot block
-// (the caller is outside any critical section by contract), so the
-// calling CPU needs no special quiescent treatment: its pinned flag is
-// already clear.
-func (e *EBR) WaitElapsedOn(cpu int, c gsync.Cookie) bool {
-	if e.cpu(cpu).nesting > 0 {
-		panic("ebr: WaitElapsedOn inside critical section")
-	}
-	return e.waitElapsed(c)
-}
-
-// WaitElapsedOnTimeout is WaitElapsedOn with a deadline: it returns
-// true as soon as the cookie elapses, or false once d passes (or the
-// engine stops) without it elapsing. Demand is re-raised on every poll
-// for the same reason waitElapsed re-raises it — the advancer clears
-// demand on even advances, and a cookie snapshotted at an odd epoch
-// outlives the pair that cleared it.
-func (e *EBR) WaitElapsedOnTimeout(cpu int, c gsync.Cookie, d time.Duration) bool {
-	if e.cpu(cpu).nesting > 0 {
-		panic("ebr: WaitElapsedOnTimeout inside critical section")
-	}
-	deadline := time.Now().Add(d)
-	for !e.Elapsed(c) {
-		if time.Now().After(deadline) {
-			return e.Elapsed(c)
-		}
-		e.ExpediteGP()
-		select {
-		case <-e.stop:
-			return e.Elapsed(c)
-		case <-time.After(e.opts.PollInterval):
+// SafeEpoch returns DEBRA's reclamation frontier: the minimum over the
+// global epoch and every pinned CPU's entry epoch. The straggler step
+// keeps it within one of the global epoch.
+func (e *EBR) SafeEpoch() uint64 {
+	min := e.epoch.Load()
+	for _, cs := range e.percpu {
+		if p := cs.pinned.Load(); p != 0 && p-1 < min {
+			min = p - 1
 		}
 	}
-	return true
+	return min
 }
 
-// Synchronize blocks until a full grace period has elapsed.
-func (e *EBR) Synchronize() {
-	e.waitElapsed(e.Snapshot())
-}
+// Neutralizations returns how many pins the engine has forcibly
+// cleared.
+func (e *EBR) Neutralizations() uint64 { return e.neutralizations.Load() }
 
-func (e *EBR) waitElapsed(c gsync.Cookie) bool {
-	if e.Elapsed(c) {
-		return true
+// Snapshot returns a grace-period cookie. Readers pinned at the current
+// epoch may survive one advance (the advance waits only for CPUs pinned
+// at older epochs), so two advances bound their lifetime.
+func (e *EBR) Snapshot() gsync.Cookie { return gsync.Cookie(e.epoch.Load() + 2) }
+
+// Elapsed reports whether the cookie's grace period has passed. The
+// global epoch alone decides: the straggler step guarantees no CPU
+// stays pinned below it.
+func (e *EBR) Elapsed(c gsync.Cookie) bool { return e.epoch.Load() >= uint64(c) }
+
+// quiesce is the straggler step: it returns once no CPU is pinned at an
+// epoch older than the current one. Plain EBR waits as long as that
+// takes; with neutralization armed, CPUs still pinned after
+// NeutralizeAfter are interrupted on every pass until their pins clear.
+func (e *EBR) quiesce() bool {
+	cur := e.epoch.Load()
+	straggling := func(cs *cpuState) bool {
+		p := cs.pinned.Load()
+		return p != 0 && p-1 < cur
 	}
-	e.ExpediteGP()
-	e.gpMu.Lock()
-	defer e.gpMu.Unlock()
-	for !e.Elapsed(c) {
-		select {
-		case <-e.stop:
-			return e.Elapsed(c)
-		default:
-		}
-		// Re-raise demand on every pass: the advancer clears it after
-		// each full grace period (every second advance), and a cookie
-		// snapshotted at an odd epoch outlives the pair that cleared
-		// it — waiting without re-arming would sleep forever. A
-		// blocked waiter is latency-sensitive, so the demand is
-		// expedited. The broadcast that wakes us is sent under gpMu,
-		// so no advance can slip between this ExpediteGP and the Wait
-		// below.
-		e.ExpediteGP()
-		e.gpCond.Wait()
-	}
-	return true
-}
-
-// advancer is the epoch-advance goroutine: when there is demand, it
-// advances the global epoch as soon as no CPU remains pinned at an
-// older epoch. Plain demand is paced by AdvanceInterval; expedited
-// demand (ExpediteGP) short-circuits the pacing sleep — a kick arriving
-// mid-sleep re-checks the flag, so escalation takes effect immediately
-// rather than after the timer runs out.
-func (e *EBR) advancer() {
-	defer e.wg.Done()
-	timer := time.NewTimer(e.opts.AdvanceInterval)
-	defer timer.Stop()
-	last := time.Now()
-	pairStart := last
+	start := time.Now()
 	for {
-		if !e.needGP.Load() {
-			select {
-			case <-e.stop:
-				return
-			case <-e.kick:
-			case <-timer.C:
-				timer.Reset(e.opts.AdvanceInterval)
+		stragglers := false
+		for cpu, cs := range e.percpu {
+			if !straggling(cs) {
+				continue
 			}
-			continue
-		}
-		expedited := false
-		for {
-			if e.expedite.Load() {
-				expedited = true
-				break
-			}
-			gap := time.Since(last)
-			if gap >= e.opts.AdvanceInterval {
-				break
-			}
-			select {
-			case <-e.stop:
-				return
-			case <-e.kick:
-				// Re-check: the kick may carry expedited demand.
-			case <-time.After(e.opts.AdvanceInterval - gap):
-			}
-		}
-		if expedited {
-			e.expeditedAdvances.Add(1)
-		}
-		cur := e.epoch.Load()
-		// Wait until no CPU is pinned at an epoch older than cur.
-		for {
-			stragglers := false
-			for _, cs := range e.percpu {
-				if p := cs.pinned.Load(); p != 0 && p-1 < cur {
-					stragglers = true
-					break
+			if e.opts.NeutralizeAfter > 0 && time.Since(start) >= e.opts.NeutralizeAfter {
+				// Chaos: the neutralize signal is lost in delivery;
+				// the straggler stays pinned and the next pass retries.
+				//prudence:fault_point
+				if fault.Fire(fault.NeutralizeLost) {
+					e.signalsLost.Add(1)
+				} else {
+					e.machine.Interrupt(cpu)
 				}
 			}
-			if !stragglers {
-				break
-			}
-			select {
-			case <-e.stop:
-				return
-			case <-time.After(e.opts.PollInterval):
-			}
+			stragglers = stragglers || straggling(cs)
 		}
-		// Chaos: stall the advance after observing no stragglers but
-		// before publishing the new epoch.
-		//prudence:fault_point
-		if d := fault.FireDelay(fault.GPStall); d > 0 {
-			select {
-			case <-e.stop:
-				return
-			case <-time.After(d):
-			}
+		if !stragglers {
+			return true
 		}
-		e.epoch.Store(cur + 1)
-		last = time.Now()
-		// Demand is cleared only every second advance (a full grace
-		// period); odd advances immediately continue. Expedited demand
-		// is consumed with it: the grace period it hastened is done.
-		if (cur+1)%2 == 0 {
-			e.gpHist.Observe(last.Sub(pairStart))
-			e.needGP.Store(false)
-			e.expedite.Store(false)
-		} else {
-			pairStart = last
+		if !e.Sleep(e.opts.PollInterval) {
+			return false
 		}
-		e.gpMu.Lock()
-		e.gpCond.Broadcast()
-		e.gpMu.Unlock()
 	}
 }
 
-// RegisterMetrics registers the epoch engine's observability series. It
-// exports the same prudence_gp_* family names as internal/rcu, so
-// dashboards read identically over either grace-period provider.
-func (e *EBR) RegisterMetrics(reg *metrics.Registry) {
-	reg.CounterFunc("prudence_gp_completed_total", "Grace periods completed (epoch advances halved).",
-		func() float64 { return float64(e.GPsCompleted()) })
-	reg.RegisterHistogram("prudence_gp_duration_seconds",
-		"Latency of one grace period (two epoch advances).", &e.gpHist)
-	reg.CounterFunc("prudence_sync_expedited_advances_total", "Epoch advances taken on the expedited path (pacing gap skipped on demand).",
-		func() float64 { return float64(e.expeditedAdvances.Load()) })
-	e.queue.RegisterMetrics(reg)
-	reg.GaugeFunc("prudence_ebr_epoch", "Current global epoch.",
-		func() float64 { return float64(e.Epoch()) })
-	reg.GaugeFunc("prudence_ebr_pinned_cpus", "CPUs currently pinning an epoch (inside a critical section).",
-		func() float64 {
-			n := 0
-			for _, cs := range e.percpu {
-				if cs.pinned.Load() != 0 {
-					n++
-				}
-			}
-			return float64(n)
-		})
-}
-
-// ReadLock is an alias for Enter, letting the EBR engine satisfy the
-// data structures' ReadSync interface directly.
-func (e *EBR) ReadLock(cpu int) { e.Enter(cpu) }
-
-// ReadUnlock is an alias for Exit.
-func (e *EBR) ReadUnlock(cpu int) { e.Exit(cpu) }
-
-// SynchronizeOn blocks until a grace period elapses; EBR needs no
-// special quiescent treatment for the (unpinned) calling CPU.
-func (e *EBR) SynchronizeOn(cpu int) {
-	if e.cpu(cpu).nesting > 0 {
-		panic("ebr: SynchronizeOn inside critical section")
+// neutralize is the interrupt handler: the signal analogue that knocks
+// a straggler's pin loose. It runs in the advancer's goroutine and
+// touches only atomics, as a real signal handler must.
+func (e *EBR) neutralize(cpu int) {
+	cs := e.cpu(cpu)
+	// CAS so a racing fresh re-pin (reader exited and re-entered at the
+	// current epoch) is never clobbered — it is not a straggler.
+	if p := cs.pinned.Load(); p != 0 && p-1 < e.epoch.Load() && cs.pinned.CompareAndSwap(p, 0) {
+		cs.neutralized.Store(true)
+		e.neutralizations.Add(1)
 	}
-	e.Synchronize()
 }
 
-// QuiescentState contributes nothing to epoch detection (reader
-// completion is observed through pinning), but — exactly as in
-// rcu.QuiescentState — it periodically donates the core so the advancer
-// and limbo drainer stay scheduled when the host has fewer cores than
-// the machine has virtual CPUs (e.g. GOMAXPROCS=1): without the yield,
-// tight workload loops starve the advancer and grace periods arrive at
-// the preemption quantum instead of the demand rate.
+// QuiescentState contributes nothing to epoch detection (pinning
+// observes reader completion), but — exactly as in rcu.QuiescentState —
+// it periodically donates the core so the advancer and limbo drainer
+// stay scheduled when the host has fewer cores than the machine has
+// virtual CPUs (e.g. GOMAXPROCS=1): without the yield, tight workload
+// loops starve the advancer and grace periods arrive at the preemption
+// quantum instead of the demand rate.
 func (e *EBR) QuiescentState(cpu int) {
 	if e.cpu(cpu).qsCalls.Add(1)%32 == 0 {
 		runtime.Gosched()
@@ -486,26 +357,57 @@ func (e *EBR) EnterIdle(cpu int) {}
 // ExitIdle is a no-op, mirroring EnterIdle.
 func (e *EBR) ExitIdle(cpu int) {}
 
-// Retire schedules fn to run once every reader that might hold the
-// retired object has finished: the entry lands in cpu's limbo bag
-// stamped with the current cookie and the drainer invokes it once two
-// epoch advances have passed.
-func (e *EBR) Retire(cpu int, fn func()) { e.queue.Retire(cpu, fn) }
-
-// RetireObject is the non-closure Retire variant; the queue carries
-// the (reclaimer, obj, idx) payload in the limbo record itself, so the
-// steady-state retire path allocates nothing.
+// RetireObject parks the payload in cpu's limbo bag, stamped with the
+// current cookie; the drainer reclaims it once two epoch advances have
+// passed. The steady-state retire path allocates nothing.
 func (e *EBR) RetireObject(cpu int, r gsync.Reclaimer, obj any, idx uint64) {
 	e.queue.RetireObject(cpu, r, obj, idx)
 }
 
 // Barrier blocks until every retirement accepted before the call has
-// run (or the engine stopped).
+// been reclaimed (or the engine stopped).
 func (e *EBR) Barrier() { e.queue.Barrier() }
 
 // SetPressure expedites limbo draining under memory pressure.
 func (e *EBR) SetPressure(under bool) { e.queue.SetPressure(under) }
 
-// RetireBacklog returns the number of retired objects awaiting their
-// epoch pair.
+// RetireBacklog returns the number of retirements awaiting their epoch
+// pair.
 func (e *EBR) RetireBacklog() int64 { return e.queue.Pending() }
+
+// RegisterMetrics registers the shared prudence_gp_* and retire-queue
+// series plus the engine's own under its registered name:
+// prudence_ebr_* for plain EBR, prudence_nebr_* with neutralization.
+func (e *EBR) RegisterMetrics(reg *metrics.Registry) {
+	e.RegisterGPMetrics(reg)
+	e.queue.RegisterMetrics(reg)
+	p := "prudence_ebr_"
+	if e.opts.NeutralizeAfter > 0 {
+		p = "prudence_nebr_"
+	}
+	reg.GaugeFunc(p+"epoch", "Current global epoch.",
+		func() float64 { return float64(e.Epoch()) })
+	reg.GaugeFunc(p+"pinned_cpus", "CPUs currently pinning an epoch (inside a critical section).",
+		func() float64 {
+			n := 0
+			for _, cs := range e.percpu {
+				if cs.pinned.Load() != 0 {
+					n++
+				}
+			}
+			return float64(n)
+		})
+	if e.opts.NeutralizeAfter == 0 {
+		return
+	}
+	reg.GaugeFunc(p+"safe_epoch", "Reclamation frontier: min over the global epoch and pinned entry epochs.",
+		func() float64 { return float64(e.SafeEpoch()) })
+	reg.CounterFunc(p+"neutralizations_total", "Stalled readers forcibly unpinned by the neutralize signal.",
+		func() float64 { return float64(e.neutralizations.Load()) })
+	reg.CounterFunc(p+"neutralize_lost_total", "Neutralize signals dropped by fault injection.",
+		func() float64 { return float64(e.signalsLost.Load()) })
+	reg.CounterFunc(p+"restarts_total", "Neutralization marks consumed by readers (restart points).",
+		func() float64 { return float64(e.restarts.Load()) })
+	reg.GaugeFunc(p+"retire_backlog", "Retired objects awaiting their epoch pair.",
+		func() float64 { return float64(e.queue.Pending()) })
+}

@@ -15,6 +15,8 @@ import (
 	"prudence/internal/rculist"
 	"prudence/internal/rcutree"
 	"prudence/internal/slabcore"
+	gsync "prudence/internal/sync"
+	"prudence/internal/sync/synctest"
 	"prudence/internal/vcpu"
 )
 
@@ -36,8 +38,7 @@ func newEngine(t *testing.T, cpus int) (*vcpu.Machine, *ebr.EBR) {
 	return m, e
 }
 
-// core.GracePeriods must be satisfied.
-var _ core.GracePeriods = (*ebr.EBR)(nil)
+var _ gsync.Backend = (*ebr.EBR)(nil)
 
 func TestSynchronizeAdvancesEpochs(t *testing.T) {
 	_, e := newEngine(t, 2)
@@ -53,11 +54,11 @@ func TestSynchronizeAdvancesEpochs(t *testing.T) {
 
 func TestPinnedReaderBlocksGracePeriod(t *testing.T) {
 	_, e := newEngine(t, 2)
-	e.Enter(0)
+	e.ReadLock(0)
 	cookie := e.Snapshot()
 	done := make(chan struct{})
 	go func() {
-		e.WaitElapsedOn(1, cookie)
+		e.WaitElapsedOnTimeout(1, cookie, time.Minute)
 		close(done)
 	}()
 	select {
@@ -65,7 +66,7 @@ func TestPinnedReaderBlocksGracePeriod(t *testing.T) {
 		t.Fatal("grace period elapsed despite pinned reader")
 	case <-time.After(20 * time.Millisecond):
 	}
-	e.Exit(0)
+	e.ReadUnlock(0)
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
@@ -75,13 +76,13 @@ func TestPinnedReaderBlocksGracePeriod(t *testing.T) {
 
 func TestNestedSections(t *testing.T) {
 	_, e := newEngine(t, 1)
-	e.Enter(0)
-	e.Enter(0)
-	e.Exit(0)
+	e.ReadLock(0)
+	e.ReadLock(0)
+	e.ReadUnlock(0)
 	if !e.Held(0) {
 		t.Fatal("outer section lost")
 	}
-	e.Exit(0)
+	e.ReadUnlock(0)
 	if e.Held(0) {
 		t.Fatal("section not closed")
 	}
@@ -94,19 +95,19 @@ func TestUnbalancedExitPanics(t *testing.T) {
 			t.Fatal("unbalanced Exit did not panic")
 		}
 	}()
-	e.Exit(0)
+	e.ReadUnlock(0)
 }
 
 func TestWaitInsideSectionPanics(t *testing.T) {
 	_, e := newEngine(t, 1)
-	e.Enter(0)
-	defer e.Exit(0)
+	e.ReadLock(0)
+	defer e.ReadUnlock(0)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("WaitElapsedOn inside section did not panic")
+			t.Fatal("WaitElapsedOnTimeout inside section did not panic")
 		}
 	}()
-	e.WaitElapsedOn(0, e.Snapshot())
+	e.WaitElapsedOnTimeout(0, e.Snapshot(), time.Minute)
 }
 
 func TestCookieSemantics(t *testing.T) {
@@ -140,7 +141,7 @@ func TestPrudenceOverEBR(t *testing.T) {
 	cache := a.NewCache(alloctest.TestCacheConfig("over-ebr")).(*core.Cache)
 
 	// Reader pins the epoch; a deferred object must not be reused.
-	e.Enter(1)
+	e.ReadLock(1)
 	r, err := cache.Malloc(0)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +161,7 @@ func TestPrudenceOverEBR(t *testing.T) {
 	if string(r.Bytes()[:8]) != "EBR-LIVE" {
 		t.Fatal("deferred object memory overwritten while reader pinned")
 	}
-	e.Exit(1)
+	e.ReadUnlock(1)
 
 	// After a grace period the object must come back.
 	e.Synchronize()
@@ -212,15 +213,15 @@ func TestPrudenceOverEBRConcurrent(t *testing.T) {
 	machine.RunOnAll(func(c *vcpu.CPU) {
 		cpu := c.ID()
 		for i := 0; i < 3000; i++ {
-			e.Enter(cpu)
+			e.ReadLock(cpu)
 			r, err := cache.Malloc(cpu)
 			if err != nil {
-				e.Exit(cpu)
+				e.ReadUnlock(cpu)
 				fail.Store(true)
 				return
 			}
 			r.Bytes()[0] = byte(i)
-			e.Exit(cpu)
+			e.ReadUnlock(cpu)
 			cache.FreeDeferred(cpu, r)
 		}
 	})
@@ -309,7 +310,7 @@ func TestDataStructuresOverEBR(t *testing.T) {
 	}
 }
 
-// Retire parks objects in the engine's limbo bags until a full grace
+// RetireObject parks objects in the engine's limbo bags until a full grace
 // period passes; a pinned reader holds them there and Barrier observes
 // the eventual drain. (The queue mechanics themselves are tested in
 // internal/sync; this pins the ebr wiring.)
@@ -320,14 +321,14 @@ func TestRetireAndBarrier(t *testing.T) {
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(readerDone)
-		e.Enter(1)
+		e.ReadLock(1)
 		close(entered)
 		<-release
-		e.Exit(1)
+		e.ReadUnlock(1)
 	}()
 	<-entered
 	var freed atomic.Bool
-	e.Retire(0, func() { freed.Store(true) })
+	e.RetireObject(0, synctest.Func, func() { freed.Store(true) }, 0)
 	if e.RetireBacklog() != 1 {
 		t.Fatalf("RetireBacklog = %d, want 1", e.RetireBacklog())
 	}

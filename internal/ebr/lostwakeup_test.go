@@ -5,16 +5,16 @@ import (
 	"time"
 
 	"prudence/internal/fault"
-	"prudence/internal/rcu"
+	gsync "prudence/internal/sync"
 )
 
-// Seed-pinned regression for the waitElapsed lost-demand hang: a cookie
-// snapshotted at an odd epoch outlives the advance pair that clears
-// demand, so a waiter that does not re-raise NeedGP on every wakeup
-// sleeps forever once demand is cleared. The fault layer drops every
-// wake-up kick (LostWakeup at rate 1.0), so recovery may rely only on
-// the re-raised demand flag plus the advancer's timer fallback — the
-// exact paths the fix added.
+// Seed-pinned regression for the lost-demand hang in the grace-period
+// wait loop (sync.Driver's, shared by every backend): a cookie
+// snapshotted at an odd epoch outlives the advance pair in progress, so
+// its waiter depends on demand that survives that pair. The fault layer
+// drops every wake-up kick (LostWakeup at rate 1.0), so recovery may
+// rely only on the recorded demand flag, the waiter re-raising it on
+// every pass, and the driver's timer fallback.
 func TestWaitElapsedSurvivesLostDemand(t *testing.T) {
 	inj := fault.Enable(fault.Config{
 		Seed:  7,
@@ -28,12 +28,12 @@ func TestWaitElapsedSurvivesLostDemand(t *testing.T) {
 	// CPUs pinned at older epochs, so it proceeds; the second (1 -> 2)
 	// sees the reader as a straggler and stalls — parking the epoch at
 	// an odd value.
-	e.Enter(1)
+	e.ReadLock(1)
 	e.NeedGP()
 	deadline := time.Now().Add(2 * time.Second)
 	for e.Epoch() != 1 {
 		if time.Now().After(deadline) {
-			e.Exit(1)
+			e.ReadUnlock(1)
 			t.Fatalf("epoch never reached 1 (at %d); advancer stuck before the scenario even started", e.Epoch())
 		}
 		time.Sleep(50 * time.Microsecond)
@@ -42,24 +42,24 @@ func TestWaitElapsedSurvivesLostDemand(t *testing.T) {
 	// Snapshot at the odd epoch: cookie 3 needs one more advance than
 	// the pair that will clear demand.
 	c := e.Snapshot()
-	if c != rcu.Cookie(3) {
+	if c != gsync.Cookie(3) {
 		t.Fatalf("cookie = %d, want 3 (snapshot at odd epoch)", c)
 	}
 
 	done := make(chan bool, 1)
-	go func() { done <- e.WaitElapsedOn(0, c) }()
+	go func() { done <- e.WaitElapsedOnTimeout(0, c, time.Minute) }()
 	// Let the waiter block before releasing the reader, so it sleeps
 	// through the demand-clearing advance to 2.
 	time.Sleep(2 * time.Millisecond)
-	e.Exit(1)
+	e.ReadUnlock(1)
 
 	select {
 	case ok := <-done:
 		if !ok {
-			t.Fatal("WaitElapsedOn returned without the cookie elapsing")
+			t.Fatal("WaitElapsedOnTimeout returned without the cookie elapsing")
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("WaitElapsedOn hung: lost-demand regression (waiter must re-raise NeedGP on every wakeup)")
+		t.Fatal("WaitElapsedOnTimeout hung: lost-demand regression (waiter must re-raise NeedGP on every wakeup)")
 	}
 
 	// The schedule must have been hostile: every kick dropped.

@@ -44,13 +44,14 @@ const (
 	// (zeroInFlight held), widening the window in which allocation sees
 	// free memory that is temporarily unavailable.
 	PageZeroStall
-	// GPStall delays grace-period completion in the rcu/ebr engines:
-	// quiescence is observed but the completion publish is withheld.
+	// GPStall delays an advance in the grace-period driver every
+	// backend shares: the scheme's safety wait is over but the publish
+	// is withheld.
 	GPStall
 	// CBDelay delays invocation of ready callback batches.
 	CBDelay
-	// LostWakeup drops the wakeup kick that NeedGP sends to the
-	// grace-period driver, leaving only the timer fallback.
+	// LostWakeup drops the wakeup kick that NeedGP/ExpediteGP send to
+	// the grace-period driver, leaving only the timer fallback.
 	LostWakeup
 	// RefillFail forces a per-CPU cache/slab refill attempt to fail.
 	RefillFail

@@ -39,7 +39,6 @@ import (
 
 	"prudence/internal/fault"
 	"prudence/internal/metrics"
-	"prudence/internal/stats"
 	gsync "prudence/internal/sync"
 	"prudence/internal/vcpu"
 )
@@ -96,29 +95,12 @@ func init() {
 	})
 }
 
-// retiredObj is one retired function: cookie is the era it must outwait
+// retiredObj is one retirement: its cookie is the era it must outwait
 // for era-based protection; token, when non-zero, additionally blocks
 // reclamation while published in any hazard slot.
 type retiredObj struct {
-	cookie gsync.Cookie
-	token  uint64
-	fn     func()
-	// Non-closure payload (the RetireObject path): when rec is
-	// non-nil, reclamation calls rec.ReclaimRetired(cpu, obj, idx)
-	// instead of fn, so retiring costs no per-call allocation.
-	rec gsync.Reclaimer
-	obj any
-	idx uint64
-	cpu int32
-}
-
-// invoke runs the deferred work, whichever form it was enqueued in.
-func (r *retiredObj) invoke() {
-	if r.rec != nil {
-		r.rec.ReclaimRetired(int(r.cpu), r.obj, r.idx)
-		return
-	}
-	r.fn()
+	gsync.Retired
+	token uint64
 }
 
 type cpuState struct {
@@ -129,7 +111,7 @@ type cpuState struct {
 	nesting int32 // owner-goroutine only
 
 	// mu guards the CPU's retire list only; it is released before any
-	// retired function runs (retired functions take allocator locks).
+	// reclaimer runs (reclaimers take allocator locks).
 	//
 	//prudence:lockorder 44
 	mu      sync.Mutex
@@ -147,8 +129,14 @@ type cpuState struct {
 	qsCalls atomic.Uint32
 }
 
-// HP is the hazard-pointer backend.
+// HP is the hazard-pointer backend. Its grace-period driver never
+// waits for stragglers: safety lives in the per-entry protection
+// checks, so the era advances freely on demand, each advance followed
+// by a scan of every retire list, and stalled readers pin only what
+// they cover.
 type HP struct {
+	gsync.Driver
+
 	machine *vcpu.Machine
 	opts    Options
 	percpu  []*cpuState
@@ -156,25 +144,11 @@ type HP struct {
 	// eraCounter starts at 1 so a published era is never the 0
 	// sentinel.
 	eraCounter atomic.Uint64
-	needGP     atomic.Bool
-	// expedite records expedited demand (ExpediteGP): the driver skips
-	// its pacing gap while set. Cleared when the advance it hastened
-	// publishes.
-	expedite          atomic.Bool
-	expeditedAdvances atomic.Uint64
-	pressured         atomic.Bool
 
 	pending    atomic.Int64
 	maxBacklog atomic.Int64
 	scans      atomic.Uint64
 	reclaimed  atomic.Uint64
-	gpHist     stats.Histogram // latency between demanded era advances
-
-	kick chan struct{}
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	wg       sync.WaitGroup
 }
 
 // New creates and starts a hazard-pointer backend for machine.
@@ -183,36 +157,42 @@ func New(machine *vcpu.Machine, opts Options) *HP {
 		machine: machine,
 		opts:    opts.withDefaults(machine.NumCPU()),
 		percpu:  make([]*cpuState, machine.NumCPU()),
-		kick:    make(chan struct{}, 1),
-		stop:    make(chan struct{}),
 	}
 	h.eraCounter.Store(1)
 	for i := range h.percpu {
 		h.percpu[i] = &cpuState{slots: make([]atomic.Uint64, h.opts.Slots)}
 	}
-	h.wg.Add(1)
-	go h.driver()
+	h.Start(gsync.Policy{
+		Interval: h.opts.AdvanceInterval,
+		// Elapsed turns true on a reader's ReadUnlock, which no advance
+		// accompanies: waiters poll.
+		Poll:     h.opts.PollInterval,
+		Snapshot: h.Snapshot,
+		Elapsed:  h.Elapsed,
+		// A backlog is demand: retirements a scan could not reclaim
+		// (a critical section was still open) need the era to keep
+		// moving and the scans to keep coming.
+		Backlog: h.pending.Load,
+		Advance: func() bool {
+			h.eraCounter.Add(1)
+			h.scanAll()
+			return true
+		},
+		Park: func(cpu int) bool {
+			if h.cpu(cpu).nesting > 0 {
+				panic("hp: grace-period wait inside critical section")
+			}
+			return false
+		},
+	})
 	return h
 }
 
 // Stop shuts the backend down. Retired entries that no protection
 // covers are reclaimed in a final scan; covered entries are dropped.
 func (h *HP) Stop() {
-	h.stopOnce.Do(func() {
-		close(h.stop)
-		h.wg.Wait()
-		h.scanAll()
-	})
-}
-
-// Stopped reports whether Stop has begun.
-func (h *HP) Stopped() bool {
-	select {
-	case <-h.stop:
-		return true
-	default:
-		return false
-	}
+	h.Driver.Stop()
+	h.scanAll()
 }
 
 func (h *HP) cpu(id int) *cpuState {
@@ -322,131 +302,13 @@ func (h *HP) minPublishedEra() uint64 {
 	return min
 }
 
-// NeedGP signals demand for era advances.
-func (h *HP) NeedGP() {
-	h.needGP.Store(true)
-	// Chaos: a lost wakeup drops the kick after demand is recorded; the
-	// driver's timer fallback must recover.
-	//prudence:fault_point
-	if fault.Fire(fault.LostWakeup) {
-		return
-	}
-	select {
-	case h.kick <- struct{}{}:
-	default:
-	}
-}
-
-// ExpediteGP raises expedited demand: the driver advances the era and
-// scans without waiting out the pacing gap (safety lives entirely in
-// the per-entry protection checks, so there is no protocol reason to
-// pace). One-shot: consumed when the advance it hastened publishes.
-func (h *HP) ExpediteGP() {
-	h.expedite.Store(true)
-	h.needGP.Store(true)
-	// Chaos: as in NeedGP, the recorded demand, not the kick, carries
-	// the liveness guarantee.
-	//prudence:fault_point
-	if fault.Fire(fault.LostWakeup) {
-		return
-	}
-	select {
-	case h.kick <- struct{}{}:
-	default:
-	}
-}
-
-// GPsCompleted counts completed grace periods: era advances.
-func (h *HP) GPsCompleted() uint64 { return h.eraCounter.Load() - 1 }
-
-// ExpeditedAdvances returns how many era advances skipped the pacing
-// gap on expedited demand.
-func (h *HP) ExpeditedAdvances() uint64 { return h.expeditedAdvances.Load() }
-
-// WaitElapsedOn blocks until cookie c elapses. The caller is outside
-// any critical section by contract, so its era hazard is already clear.
-func (h *HP) WaitElapsedOn(cpu int, c gsync.Cookie) bool {
-	if h.cpu(cpu).nesting > 0 {
-		panic("hp: WaitElapsedOn inside critical section")
-	}
-	return h.waitElapsed(c)
-}
-
-// WaitElapsedOnTimeout is WaitElapsedOn with a deadline, returning
-// false once d passes (or the backend stops) without the cookie
-// elapsing.
-func (h *HP) WaitElapsedOnTimeout(cpu int, c gsync.Cookie, d time.Duration) bool {
-	if h.cpu(cpu).nesting > 0 {
-		panic("hp: WaitElapsedOnTimeout inside critical section")
-	}
-	deadline := time.Now().Add(d)
-	for !h.Elapsed(c) {
-		if time.Now().After(deadline) {
-			return h.Elapsed(c)
-		}
-		// A deadline-bound waiter is starved by definition: expedite.
-		h.ExpediteGP()
-		select {
-		case <-h.stop:
-			return h.Elapsed(c)
-		case <-time.After(h.opts.PollInterval):
-		}
-	}
-	return true
-}
-
-// Synchronize blocks until a full grace period has elapsed.
-func (h *HP) Synchronize() { h.waitElapsed(h.Snapshot()) }
-
-// SynchronizeOn is Synchronize; the (hazard-free) calling CPU needs no
-// special treatment.
-func (h *HP) SynchronizeOn(cpu int) {
-	if h.cpu(cpu).nesting > 0 {
-		panic("hp: SynchronizeOn inside critical section")
-	}
-	h.Synchronize()
-}
-
-// waitElapsed polls rather than blocking on a condition variable:
-// Elapsed can turn true on a reader's ReadUnlock, an event no driver
-// broadcast accompanies. Demand is re-raised on every pass because the
-// driver clears it at each advance; a blocked synchronous waiter is
-// latency-sensitive, so the demand is expedited.
-func (h *HP) waitElapsed(c gsync.Cookie) bool {
-	for !h.Elapsed(c) {
-		h.ExpediteGP()
-		select {
-		case <-h.stop:
-			return h.Elapsed(c)
-		case <-time.After(h.opts.PollInterval):
-		}
-	}
-	return true
-}
-
-// Retire schedules fn behind era protection only (token 0): it runs
-// once the era advances past the retirement and no critical section
-// from before the retirement survives.
-func (h *HP) Retire(cpu int, fn func()) { h.RetireToken(cpu, 0, fn) }
-
-// RetireToken schedules fn to run once the retirement's era has been
-// left behind AND token (if non-zero) is absent from every hazard slot.
-// Callers unlink the object first, then retire it with the token its
-// readers publish.
-func (h *HP) RetireToken(cpu int, token uint64, fn func()) {
-	h.retire(cpu, retiredObj{token: token, fn: fn})
-}
-
-// RetireObject is the non-closure Retire variant (era protection only,
-// token 0): the deferred free is carried as a (reclaimer, obj, idx)
-// payload, so the steady-state retire path allocates nothing.
-func (h *HP) RetireObject(cpu int, rec gsync.Reclaimer, obj any, idx uint64) {
-	h.retire(cpu, retiredObj{rec: rec, obj: obj, idx: idx, cpu: int32(cpu)})
-}
-
-func (h *HP) retire(cpu int, entry retiredObj) {
+// RetireToken retires (rec, obj, idx) for reclamation once the
+// retirement's era has been left behind AND token (if non-zero) is
+// absent from every hazard slot. Callers unlink the object first, then
+// retire it with the token its readers publish.
+func (h *HP) RetireToken(cpu int, token uint64, rec gsync.Reclaimer, obj any, idx uint64) {
 	cs := h.cpu(cpu)
-	entry.cookie = h.Snapshot()
+	entry := retiredObj{Retired: gsync.Retired{Cookie: h.Snapshot(), Rec: rec, Obj: obj, Idx: idx, CPU: int32(cpu)}, token: token}
 	cs.mu.Lock()
 	cs.retired = append(cs.retired, entry)
 	cs.sinceScan++
@@ -458,7 +320,7 @@ func (h *HP) retire(cpu int, entry retiredObj) {
 	// O(len) waste — the era advance it is waiting on comes with the
 	// driver's own scan.
 	scanNow := cs.sinceScan >= h.opts.ScanThreshold &&
-		uint64(cs.retired[0].cookie) <= h.eraCounter.Load()
+		uint64(cs.retired[0].Cookie) <= h.eraCounter.Load()
 	if scanNow {
 		cs.sinceScan = 0
 	}
@@ -481,8 +343,15 @@ func (h *HP) retire(cpu int, entry retiredObj) {
 	}
 }
 
+// RetireObject retires behind era protection only (token 0): the
+// payload is reclaimed once no critical section from before the
+// retirement survives. The steady-state retire path allocates nothing.
+func (h *HP) RetireObject(cpu int, rec gsync.Reclaimer, obj any, idx uint64) {
+	h.RetireToken(cpu, 0, rec, obj, idx)
+}
+
 // Barrier blocks until every retirement accepted before the call has
-// run (or the backend stopped). Entries whose tokens remain protected
+// been reclaimed (or the backend stopped). Entries whose tokens remain protected
 // forever would block forever — exactly rcu.Barrier's behaviour against
 // a stalled reader.
 func (h *HP) Barrier() {
@@ -503,19 +372,15 @@ func (h *HP) Barrier() {
 		}
 		// A blocked barrier is latency-sensitive by definition.
 		h.ExpediteGP()
-		select {
-		case <-h.stop:
+		if !h.Sleep(h.opts.PollInterval) {
 			return
-		case <-time.After(h.opts.PollInterval):
 		}
 	}
 }
 
-// SetPressure expedites reclamation under memory pressure: every era
-// advance scans, and retire thresholds are effectively ignored by the
-// driver's scan cadence.
+// SetPressure expedites reclamation under memory pressure: the next era
+// advance, and the scan that follows it, skip the pacing gap.
 func (h *HP) SetPressure(under bool) {
-	h.pressured.Store(under)
 	if under {
 		h.ExpediteGP()
 	}
@@ -527,8 +392,7 @@ func (h *HP) RetireBacklog() int64 { return h.pending.Load() }
 
 // scan is one scan-and-reclaim pass over cpu's retire list: collect
 // every published protection once, then free all entries no protection
-// covers. The retire-list lock is released before any retired function
-// runs.
+// covers. The retire-list lock is released before any reclaimer runs.
 func (h *HP) scan(cpu int) {
 	// Chaos: stall the scan before protections are collected,
 	// lengthening retire-list residency without affecting safety.
@@ -552,7 +416,7 @@ func (h *HP) scan(cpu int) {
 	cs.sinceScan = 0
 	var free, keep []retiredObj
 	for _, r := range cs.retired {
-		covered := uint64(r.cookie) > era || uint64(r.cookie) > minEra
+		covered := uint64(r.Cookie) > era || uint64(r.Cookie) > minEra
 		if !covered && r.token != 0 {
 			_, covered = protected[r.token]
 		}
@@ -565,7 +429,7 @@ func (h *HP) scan(cpu int) {
 	cs.retired = keep
 	cs.mu.Unlock()
 	for i := range free {
-		free[i].invoke()
+		free[i].Reclaim()
 	}
 	if n := len(free); n > 0 {
 		cs.done.Add(uint64(n))
@@ -581,97 +445,11 @@ func (h *HP) scanAll() {
 	}
 }
 
-// driver advances the era on demand and runs the background scan
-// cadence. Unlike ebr's advancer it never waits for stragglers: safety
-// lives in the per-entry protection checks, so the era advances freely
-// and stalled readers pin only what they cover.
-func (h *HP) driver() {
-	defer h.wg.Done()
-	timer := time.NewTimer(h.opts.AdvanceInterval)
-	defer timer.Stop()
-	last := time.Now()
-	demandStart := last
-	demandFresh := false
-	for {
-		if !h.needGP.Load() {
-			select {
-			case <-h.stop:
-				return
-			case <-h.kick:
-			case <-timer.C:
-				timer.Reset(h.opts.AdvanceInterval)
-				// A backlog with no live demand (its NeedGP kick was
-				// consumed by a prior advance that could not reclaim
-				// everything, e.g. under a still-open critical
-				// section) must keep the era moving and the scans
-				// coming, or the memory lingers until the next
-				// retirement.
-				if h.pending.Load() > 0 {
-					h.needGP.Store(true)
-				}
-			}
-			if h.needGP.Load() && !demandFresh {
-				demandFresh = true
-				demandStart = time.Now()
-			}
-			continue
-		}
-		if !demandFresh {
-			demandFresh = true
-			demandStart = time.Now()
-		}
-		// Pace the advance — unless expedited demand is pending, in
-		// which case the gap is skipped (the per-entry protection checks
-		// carry safety, never this pacing).
-		expedited := false
-		for {
-			if h.expedite.Load() {
-				expedited = true
-				break
-			}
-			gap := time.Since(last)
-			if gap >= h.opts.AdvanceInterval {
-				break
-			}
-			select {
-			case <-h.stop:
-				return
-			case <-h.kick:
-				// Re-check: the kick may carry expedited demand.
-			case <-time.After(h.opts.AdvanceInterval - gap):
-			}
-		}
-		if expedited {
-			h.expeditedAdvances.Add(1)
-		}
-		// Chaos: stall era publication, as the gp_stall point does in
-		// the other engines.
-		//prudence:fault_point
-		if d := fault.FireDelay(fault.GPStall); d > 0 {
-			select {
-			case <-h.stop:
-				return
-			case <-time.After(d):
-			}
-		}
-		h.eraCounter.Add(1)
-		last = time.Now()
-		h.gpHist.Observe(last.Sub(demandStart))
-		demandFresh = false
-		h.needGP.Store(false)
-		h.expedite.Store(false)
-		h.scanAll()
-	}
-}
-
 // RegisterMetrics registers the backend's observability series, keeping
 // the shared prudence_gp_* family names so dashboards read identically
 // over any scheme.
 func (h *HP) RegisterMetrics(reg *metrics.Registry) {
-	reg.CounterFunc("prudence_gp_completed_total", "Grace periods completed (era advances).",
-		func() float64 { return float64(h.GPsCompleted()) })
-	reg.RegisterHistogram("prudence_gp_duration_seconds",
-		"Latency from grace-period demand to the era advance serving it.", &h.gpHist)
+	h.RegisterGPMetrics(reg)
 	reg.GaugeFunc("prudence_hp_era", "Current reclamation era.",
 		func() float64 { return float64(h.Era()) })
 	reg.GaugeFunc("prudence_hp_retire_backlog", "Retired objects awaiting scan-and-reclaim.",
@@ -680,8 +458,6 @@ func (h *HP) RegisterMetrics(reg *metrics.Registry) {
 		func() float64 { return float64(h.scans.Load()) })
 	reg.CounterFunc("prudence_hp_reclaimed_total", "Retired objects reclaimed by scans.",
 		func() float64 { return float64(h.reclaimed.Load()) })
-	reg.CounterFunc("prudence_sync_expedited_advances_total", "Era advances taken on the expedited path (pacing gap skipped on demand).",
-		func() float64 { return float64(h.expeditedAdvances.Load()) })
 	reg.GaugeFunc("prudence_sync_retire_backlog", "Retired objects enqueued but not yet reclaimed.",
 		func() float64 { return float64(h.pending.Load()) })
 	reg.GaugeFunc("prudence_sync_retire_backlog_peak", "High-water mark of the retire backlog.",

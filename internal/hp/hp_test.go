@@ -38,8 +38,8 @@ func TestTokenProtection(t *testing.T) {
 	h.Protect(1, 0, token)
 
 	var protectedFreed, plainFreed atomic.Bool
-	h.RetireToken(0, token, func() { protectedFreed.Store(true) })
-	h.RetireToken(0, 7, func() { plainFreed.Store(true) })
+	h.RetireToken(0, token, synctest.Func, func() { protectedFreed.Store(true) }, 0)
+	h.RetireToken(0, 7, synctest.Func, func() { plainFreed.Store(true) }, 0)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for !plainFreed.Load() {
@@ -93,11 +93,11 @@ func TestGarbageBound(t *testing.T) {
 	// Retire the protected tokens plus a large unprotected volume.
 	var freed atomic.Int64
 	for tk := uint64(1); tk < token; tk++ {
-		h.RetireToken(0, tk, func() { freed.Add(1) })
+		h.RetireToken(0, tk, synctest.Func, func() { freed.Add(1) }, 0)
 	}
 	const volume = 10_000
 	for i := 0; i < volume; i++ {
-		h.RetireToken(i%cpus, 0, func() { freed.Add(1) })
+		h.RetireToken(i%cpus, 0, synctest.Func, func() { freed.Add(1) }, 0)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for freed.Load() < volume {
@@ -155,7 +155,7 @@ func TestEraAdvancesPastStalledReader(t *testing.T) {
 	}
 	close(release)
 	<-readerDone
-	if !h.WaitElapsedOn(0, c) {
+	if !h.WaitElapsedOnTimeout(0, c, time.Minute) {
 		t.Fatal("cookie did not elapse after the reader exited")
 	}
 }

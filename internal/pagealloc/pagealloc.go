@@ -522,9 +522,12 @@ func (a *Allocator) Free(r Run) error {
 	a.coalesceInsert(r.Start, r.Order, false, &locked)
 	a.freePages.Add(1 << r.Order)
 	a.frees.Add(1)
+	// Release before the unlock: once the shards are unlocked the run
+	// can be reallocated, and its Acquire must not land before this
+	// Release or a full arena transiently reads as over-committed.
+	a.arena.Release(1 << r.Order)
 	a.unlockFrom(g, locked)
 
-	a.arena.Release(1 << r.Order)
 	a.checkPressure()
 	if fn := a.onDirtyFree.Load(); fn != nil {
 		(*fn)()

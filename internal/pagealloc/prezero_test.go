@@ -228,10 +228,13 @@ func TestPropertyConcurrentNoDoubleAllocAndFullCoalesce(t *testing.T) {
 	}
 	wg.Wait()
 
-	// In-flight zeroing momentarily holds blocks out of the free lists;
-	// wait for the zeroer to go quiet before checking convergence.
+	// In-flight zeroing momentarily holds blocks out of the free lists,
+	// and the zeroer may still check out the final coalesced dirty block
+	// after zeroInFlight first reads 0: wait until no dirty block is left
+	// and then none is in flight (takeDirty moves a block from one to the
+	// other under the shard lock, so that order cannot miss it).
 	deadline := time.Now().Add(5 * time.Second)
-	for a.zeroInFlight.Load() != 0 {
+	for a.hasDirty() || a.zeroInFlight.Load() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("zeroer never went quiet")
 		}

@@ -28,7 +28,7 @@ func TestQhimarkRemovesBatchLimit(t *testing.T) {
 	const n = 500 // 5x qhimark
 	var invoked atomic.Int32
 	for i := 0; i < n; i++ {
-		r.Call(0, func() { invoked.Add(1) })
+		r.call(0, func() { invoked.Add(1) })
 	}
 	// Let the grace period elapse while CPU 0 stays active (so the idle
 	// offload processor does not run).
@@ -66,7 +66,7 @@ func TestUnderQhimarkKeepsBatchLimit(t *testing.T) {
 	const n = 30
 	var invoked atomic.Int32
 	for i := 0; i < n; i++ {
-		r.Call(0, func() { invoked.Add(1) })
+		r.call(0, func() { invoked.Add(1) })
 	}
 	cookie := r.Snapshot()
 	deadline := time.Now().Add(5 * time.Second)
@@ -103,7 +103,7 @@ func TestQhimarkDisabled(t *testing.T) {
 	const n = 50
 	var invoked atomic.Int32
 	for i := 0; i < n; i++ {
-		r.Call(0, func() { invoked.Add(1) })
+		r.call(0, func() { invoked.Add(1) })
 	}
 	cookie := r.Snapshot()
 	deadline := time.Now().Add(5 * time.Second)
@@ -135,7 +135,7 @@ func TestBacklogSurvivesGPStall(t *testing.T) {
 	var invoked atomic.Int32
 	const n = 100
 	for i := 0; i < n; i++ {
-		r.Call(0, func() { invoked.Add(1) })
+		r.call(0, func() { invoked.Add(1) })
 	}
 	time.Sleep(10 * time.Millisecond)
 	if got := invoked.Load(); got != 0 {

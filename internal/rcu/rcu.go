@@ -11,9 +11,9 @@
 //   - A grace period elapses only after every CPU has passed a
 //     quiescent state since the grace period started; an object removed
 //     before a Snapshot is safe to reclaim once Elapsed(cookie) is true.
-//   - Deferred frees can be registered as callbacks (Call), which a
-//     per-CPU processor invokes *after* a grace period, in batches
-//     limited by Blimit with a delay between batches. This batching and
+//   - Deferred frees can be registered as callbacks (RetireObject),
+//     which a per-CPU processor invokes *after* a grace period, in
+//     batches limited by Blimit with a delay between batches. This batching and
 //     throttling is exactly the mechanism that induces the extended
 //     object lifetimes of §3.2: objects are safe long before the
 //     processor gets to them.
@@ -37,16 +37,9 @@ import (
 
 	"prudence/internal/fault"
 	"prudence/internal/metrics"
-	"prudence/internal/stats"
 	gsync "prudence/internal/sync"
 	"prudence/internal/vcpu"
 )
-
-// Cookie is a grace-period state snapshot. A cookie taken at time T has
-// elapsed once a grace period that started after T has completed. It is
-// an alias of the canonical internal/sync cookie, so grace-period state
-// flows between the allocator and any registered backend unchanged.
-type Cookie = gsync.Cookie
 
 func init() {
 	gsync.Register("rcu", func(m *vcpu.Machine, o gsync.Options) gsync.Backend {
@@ -131,27 +124,6 @@ type Stats struct {
 	SynchronizeCalls uint64
 }
 
-// callback is one deferred invocation. It carries either a closure
-// (fn) or, on the allocation-free RetireObject path, a (rec, obj, idx)
-// triple interpreted by the reclaimer.
-type callback struct {
-	cookie Cookie
-	fn     func()
-	rec    gsync.Reclaimer
-	obj    any
-	idx    uint64
-	cpu    int32
-}
-
-// invoke runs the deferred work, whichever form it was enqueued in.
-func (cb *callback) invoke() {
-	if cb.rec != nil {
-		cb.rec.ReclaimRetired(int(cb.cpu), cb.obj, cb.idx)
-		return
-	}
-	cb.fn()
-}
-
 type cpuState struct {
 	nesting atomic.Int32 // read-side critical section depth
 	qsSeq   atomic.Uint64
@@ -160,7 +132,7 @@ type cpuState struct {
 	//prudence:lockorder 40
 	cbMu sync.Mutex
 	//prudence:guarded_by cbMu
-	cbs  []callback
+	cbs  []gsync.Retired
 	wake chan struct{}
 
 	// cbCount mirrors len(cbs) for lock-free emptiness checks on the
@@ -179,42 +151,27 @@ type cpuState struct {
 // QuiescentState, EnterIdle and ExitIdle for a given CPU must be called
 // from the goroutine owning that CPU.
 type RCU struct {
+	gsync.Driver
+
 	machine *vcpu.Machine
 	opts    Options
 	percpu  []*cpuState
+	procs   sync.WaitGroup // callback processors
 
 	gpStarted   atomic.Uint64
 	gpCompleted atomic.Uint64
 
-	pending atomic.Int64 // callbacks not yet invoked
-	needGP  atomic.Bool  // external demand for a grace period (Prudence)
-	// expedite records expedited demand (ExpediteGP): the driver skips
-	// the inter-GP gap while set. Cleared when the grace period it
-	// hastened completes.
-	expedite     atomic.Bool
-	expeditedGPs atomic.Uint64
-	pressure     atomic.Bool
-
-	//prudence:lockorder 50
-	gpMu sync.Mutex
-	//prudence:guarded_by gpMu
-	gpCond *sync.Cond
-	kick   chan struct{}
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	wg       sync.WaitGroup
+	pending  atomic.Int64 // callbacks not yet invoked
+	pressure atomic.Bool
 
 	// qsReports is hammered by every QuiescentState on every CPU, so it
 	// is per-CPU sharded rather than a shared atomic.
 	qsReports        *metrics.Counter
-	gpHist           stats.Histogram
 	cbInvoked        atomic.Uint64
 	cbQueued         atomic.Uint64
 	maxBacklog       atomic.Int64
 	expeditedBatches atomic.Uint64
 	throttledBatches atomic.Uint64
-	syncCalls        atomic.Uint64
 }
 
 // New creates and starts an engine for machine. All CPUs begin in the
@@ -225,20 +182,29 @@ func New(machine *vcpu.Machine, opts Options) *RCU {
 		machine:   machine,
 		opts:      opts.withDefaults(),
 		percpu:    make([]*cpuState, machine.NumCPU()),
-		kick:      make(chan struct{}, 1),
-		stop:      make(chan struct{}),
 		qsReports: metrics.NewCounter(machine.NumCPU()),
 	}
-	r.gpCond = sync.NewCond(&r.gpMu)
 	for i := range r.percpu {
 		cs := &cpuState{wake: make(chan struct{}, 1)}
 		cs.idle.Store(true)
 		r.percpu[i] = cs
 	}
-	r.wg.Add(1)
-	go r.gpDriver()
+	r.Start(gsync.Policy{
+		Interval: r.opts.MinGPInterval,
+		WholeGap: true,
+		Snapshot: r.Snapshot,
+		Elapsed:  r.Elapsed,
+		// Queued callbacks are demand; under memory pressure grace
+		// periods run back to back.
+		Backlog:   r.pending.Load,
+		Expedited: r.pressure.Load,
+		Quiesce:   func() bool { return r.waitForQS(r.gpStarted.Add(1)) },
+		Advance:   r.completeGP,
+		Park:      r.park,
+		Unpark:    func(cpu int, wasIdle bool) { r.cpu(cpu).idle.Store(wasIdle) },
+	})
 	for i := range r.percpu {
-		r.wg.Add(1)
+		r.procs.Add(1)
 		go r.cbProcessor(i)
 	}
 	return r
@@ -248,24 +214,8 @@ func New(machine *vcpu.Machine, opts Options) *RCU {
 // callbacks whose grace period has already elapsed are invoked; others
 // are dropped. Stop is idempotent.
 func (r *RCU) Stop() {
-	r.stopOnce.Do(func() { close(r.stop) })
-	r.wg.Wait()
-	// Broadcast under gpMu so that a waiter that checked the stop
-	// channel before it closed is guaranteed to be inside Wait (and thus
-	// woken) by the time we broadcast.
-	r.gpMu.Lock()
-	r.gpCond.Broadcast()
-	r.gpMu.Unlock()
-}
-
-// Stopped reports whether Stop has begun.
-func (r *RCU) Stopped() bool {
-	select {
-	case <-r.stop:
-		return true
-	default:
-		return false
-	}
+	r.Driver.Stop()
+	r.procs.Wait()
 }
 
 func (r *RCU) cpu(id int) *cpuState {
@@ -361,8 +311,8 @@ func (r *RCU) runInlineCallbacks(cs *cpuState) {
 	// Chaos: delay callback invocation (objects stay latent longer).
 	//prudence:fault_point
 	fault.Sleep(fault.CBDelay)
-	for _, cb := range batch {
-		cb.invoke()
+	for i := range batch {
+		batch[i].Reclaim()
 	}
 	r.cbInvoked.Add(uint64(len(batch)))
 	r.pending.Add(int64(-len(batch)))
@@ -388,162 +338,41 @@ func (r *RCU) ExitIdle(cpu int) {
 // has finished. This is the grace-period state the paper's modified
 // synchronization mechanism exposes to the allocator (§4, requirement
 // ii).
-func (r *RCU) Snapshot() Cookie {
+func (r *RCU) Snapshot() gsync.Cookie {
 	// A grace period currently in progress may have started before the
 	// caller's removal, so a full new grace period is required: cookie
 	// is one past the last started GP.
-	return Cookie(r.gpStarted.Load() + 1)
+	return gsync.Cookie(r.gpStarted.Load() + 1)
 }
 
 // Elapsed reports whether a full grace period has elapsed since the
 // cookie was taken.
-func (r *RCU) Elapsed(c Cookie) bool {
+func (r *RCU) Elapsed(c gsync.Cookie) bool {
 	return r.gpCompleted.Load() >= uint64(c)
 }
 
-// NeedGP tells the driver that someone is waiting on a grace period
-// even though no callbacks are queued (Prudence's latent objects).
-func (r *RCU) NeedGP() {
-	r.needGP.Store(true)
-	// Chaos: a lost wakeup drops the kick after demand is recorded,
-	// leaving recovery to the driver's timer fallback — the failure mode
-	// behind the PR 2 waitElapsed hang.
-	//prudence:fault_point
-	if fault.Fire(fault.LostWakeup) {
-		return
-	}
-	select {
-	case r.kick <- struct{}{}:
-	default:
-	}
-}
-
-// ExpediteGP raises expedited demand: the driver starts the next grace
-// period without waiting out the inter-GP gap (quiescent-state
-// detection is untouched — expediting never weakens the protocol).
-// One-shot: consumed when the grace period it hastened completes.
-func (r *RCU) ExpediteGP() {
-	r.expedite.Store(true)
-	r.needGP.Store(true)
-	// Chaos: as in NeedGP, the recorded demand, not the kick, carries
-	// the liveness guarantee.
-	//prudence:fault_point
-	if fault.Fire(fault.LostWakeup) {
-		return
-	}
-	select {
-	case r.kick <- struct{}{}:
-	default:
-	}
-}
-
-// ExpeditedAdvances returns how many grace periods started on the
-// expedited path (inter-GP gap skipped on demand).
-func (r *RCU) ExpeditedAdvances() uint64 { return r.expeditedGPs.Load() }
-
-// WaitElapsed blocks until the cookie has elapsed (or the engine is
-// stopped, in which case it returns false). A blocked synchronous
-// waiter is latency-sensitive, so the demand it raises is expedited.
-func (r *RCU) WaitElapsed(c Cookie) bool {
-	if r.Elapsed(c) {
-		return true
-	}
-	r.ExpediteGP()
-	r.gpMu.Lock()
-	defer r.gpMu.Unlock()
-	for !r.Elapsed(c) {
-		select {
-		case <-r.stop:
-			return r.Elapsed(c)
-		default:
-		}
-		r.gpCond.Wait()
-	}
-	return true
-}
-
-// Synchronize blocks until a full grace period has elapsed. It must not
-// be called from within a read-side critical section on a non-idle CPU
-// that the caller owns (it would self-deadlock, as in the kernel).
-func (r *RCU) Synchronize() {
-	r.syncCalls.Add(1)
-	r.WaitElapsed(r.Snapshot())
-}
-
-// WaitElapsedOn blocks until cookie has elapsed, treating the calling
-// CPU as quiescent for the duration (the caller is blocked, which is a
-// context switch). The caller must own cpu and must not be inside a
-// read-side critical section. Returns false if the engine stopped first.
-func (r *RCU) WaitElapsedOn(cpu int, c Cookie) bool {
+// park treats a CPU whose owner blocks in a grace-period wait as idle
+// for the duration (the caller is blocked, which is a context switch),
+// so the grace period it waits for can complete; it returns the idle
+// state to restore.
+func (r *RCU) park(cpu int) bool {
 	cs := r.cpu(cpu)
 	if cs.nesting.Load() > 0 {
-		panic("rcu: WaitElapsedOn inside read-side critical section")
+		panic("rcu: grace-period wait inside read-side critical section")
 	}
 	wasIdle := cs.idle.Load()
 	cs.idle.Store(true)
-	ok := r.WaitElapsed(c)
-	cs.idle.Store(wasIdle)
-	return ok
+	return wasIdle
 }
 
-// WaitElapsedOnTimeout is WaitElapsedOn with a deadline: it returns
-// true as soon as the cookie elapses, or false once d has passed (or
-// the engine stopped) without it elapsing. Like WaitElapsedOn it treats
-// the calling CPU as quiescent for the duration; like waitElapsed it
-// re-raises grace-period demand on every poll so a lost wakeup cannot
-// turn the wait into its full timeout. This is the bounded wait the
-// OOM-delay path uses so a stalled grace period degrades to an OOM
-// report instead of a hang.
-func (r *RCU) WaitElapsedOnTimeout(cpu int, c Cookie, d time.Duration) bool {
+// RetireObject registers an RCU callback carrying the (reclaimer, obj,
+// idx) payload, invoked on cpu's callback processor (or at cpu's
+// quiescent states) after a grace period elapses. This is the Listing 1
+// path the SLUB-based baseline uses for deferred frees; it enqueues
+// with zero allocations.
+func (r *RCU) RetireObject(cpu int, rec gsync.Reclaimer, obj any, idx uint64) {
 	cs := r.cpu(cpu)
-	if cs.nesting.Load() > 0 {
-		panic("rcu: WaitElapsedOnTimeout inside read-side critical section")
-	}
-	wasIdle := cs.idle.Load()
-	cs.idle.Store(true)
-	defer cs.idle.Store(wasIdle)
-	deadline := time.Now().Add(d)
-	for !r.Elapsed(c) {
-		if time.Now().After(deadline) {
-			return r.Elapsed(c)
-		}
-		// A deadline-bound waiter is starved by definition: expedite.
-		r.ExpediteGP()
-		select {
-		case <-r.stop:
-			return r.Elapsed(c)
-		case <-time.After(r.opts.QSPollInterval):
-		}
-	}
-	return true
-}
-
-// SynchronizeOn blocks until a full grace period has elapsed, treating
-// the calling CPU as quiescent for the duration — the analogue of a
-// kernel task sleeping in synchronize_rcu(), whose context switch is
-// itself a quiescent state. The caller must own cpu and must not be in
-// a read-side critical section.
-func (r *RCU) SynchronizeOn(cpu int) {
-	cs := r.cpu(cpu)
-	if cs.nesting.Load() > 0 {
-		panic("rcu: SynchronizeOn inside read-side critical section")
-	}
-	wasIdle := cs.idle.Load()
-	cs.idle.Store(true)
-	r.Synchronize()
-	cs.idle.Store(wasIdle)
-}
-
-// Call registers fn to be invoked on cpu's callback processor after a
-// grace period elapses. This is the Listing 1 path that the SLUB-based
-// baseline uses for deferred frees.
-func (r *RCU) Call(cpu int, fn func()) {
-	r.enqueue(cpu, callback{fn: fn})
-}
-
-func (r *RCU) enqueue(cpu int, cb callback) {
-	cs := r.cpu(cpu)
-	cb.cookie = r.Snapshot()
+	cb := gsync.Retired{Cookie: r.Snapshot(), Rec: rec, Obj: obj, Idx: idx, CPU: int32(cpu)}
 	cs.cbMu.Lock()
 	cs.cbs = append(cs.cbs, cb)
 	cs.cbMu.Unlock()
@@ -556,30 +385,21 @@ func (r *RCU) enqueue(cpu int, cb callback) {
 		}
 	}
 	r.cbQueued.Add(1)
-	select {
-	case r.kick <- struct{}{}:
-	default:
-	}
+	r.NeedGP()
 	select {
 	case cs.wake <- struct{}{}:
 	default:
 	}
 }
 
-// Retire implements the canonical backend surface's per-object
-// retirement hook; for RCU it is exactly Call.
-func (r *RCU) Retire(cpu int, fn func()) { r.Call(cpu, fn) }
-
-// RetireObject is the non-closure Retire variant: an RCU callback
-// carrying a (reclaimer, obj, idx) payload instead of a heap closure,
-// so the Listing-1 deferred-free path enqueues with zero allocations.
-func (r *RCU) RetireObject(cpu int, rec gsync.Reclaimer, obj any, idx uint64) {
-	r.enqueue(cpu, callback{rec: rec, obj: obj, idx: idx, cpu: int32(cpu)})
-}
-
 // PendingCallbacks returns the number of callbacks queued but not yet
 // invoked.
 func (r *RCU) PendingCallbacks() int { return int(r.pending.Load()) }
+
+// barrier counts down as its per-CPU sentinel callbacks run.
+type barrier struct{ remaining atomic.Int64 }
+
+func (b *barrier) ReclaimRetired(int, any, uint64) { b.remaining.Add(-1) }
 
 // Barrier blocks until every callback queued before the call has been
 // invoked — the rcu_barrier() analogue. It works by enqueueing a
@@ -590,19 +410,18 @@ func (r *RCU) Barrier() {
 	// goroutine: a helper blocked in wg.Wait would leak if the engine
 	// stopped with a sentinel's grace period still outstanding (Stop
 	// drops unelapsed callbacks, so the sentinel would never run).
-	var remaining atomic.Int64
-	remaining.Store(int64(len(r.percpu)))
+	b := &barrier{}
+	b.remaining.Store(int64(len(r.percpu)))
 	for cpu := range r.percpu {
-		r.Call(cpu, func() { remaining.Add(-1) })
+		r.RetireObject(cpu, b, nil, 0)
 	}
-	for remaining.Load() > 0 {
-		select {
-		case <-r.stop:
-			return // engine stopping; Stop drains ready callbacks
-		case <-time.After(200 * time.Microsecond):
-			// Keep grace periods and processors moving while we wait.
-			r.NeedGP()
+	for b.remaining.Load() > 0 {
+		// Keep grace periods and processors moving while we wait; a
+		// stopping engine drains ready callbacks itself.
+		if !r.Sleep(200 * time.Microsecond) {
+			return
 		}
+		r.NeedGP()
 	}
 }
 
@@ -613,10 +432,7 @@ func (r *RCU) SetPressure(under bool) {
 	if under {
 		// Kick everything: the processors to drain, the driver to run
 		// grace periods back to back.
-		select {
-		case r.kick <- struct{}{}:
-		default:
-		}
+		r.ExpediteGP()
 		for _, cs := range r.percpu {
 			select {
 			case cs.wake <- struct{}{}:
@@ -625,9 +441,6 @@ func (r *RCU) SetPressure(under bool) {
 		}
 	}
 }
-
-// GPsCompleted returns the number of grace periods completed so far.
-func (r *RCU) GPsCompleted() uint64 { return r.gpCompleted.Load() }
 
 // Stats returns a snapshot of engine counters.
 func (r *RCU) Stats() Stats {
@@ -640,7 +453,7 @@ func (r *RCU) Stats() Stats {
 		ExpeditedBatches: r.expeditedBatches.Load(),
 		ThrottledBatches: r.throttledBatches.Load(),
 		QuiescentReports: r.qsReports.Value(),
-		SynchronizeCalls: r.syncCalls.Load(),
+		SynchronizeCalls: r.SynchronizeCalls(),
 	}
 }
 
@@ -649,13 +462,10 @@ func (r *RCU) Stats() Stats {
 // the quiescent-report counter is a func-backed read of atomics the
 // engine already maintains.
 func (r *RCU) RegisterMetrics(reg *metrics.Registry) {
+	r.RegisterGPMetrics(reg)
 	reg.CounterFunc("prudence_gp_started_total", "Grace periods started.",
 		func() float64 { return float64(r.gpStarted.Load()) })
-	reg.CounterFunc("prudence_gp_completed_total", "Grace periods completed.",
-		func() float64 { return float64(r.gpCompleted.Load()) })
-	reg.RegisterHistogram("prudence_gp_duration_seconds",
-		"Latency from grace-period start to completion.", &r.gpHist)
-	reg.CounterFunc("prudence_rcu_callbacks_queued_total", "Deferred-free callbacks registered via Call.",
+	reg.CounterFunc("prudence_rcu_callbacks_queued_total", "Deferred-free callbacks registered via RetireObject.",
 		func() float64 { return float64(r.cbQueued.Load()) })
 	reg.CounterFunc("prudence_rcu_callbacks_invoked_total", "Deferred-free callbacks invoked after their grace period.",
 		func() float64 { return float64(r.cbInvoked.Load()) })
@@ -670,9 +480,7 @@ func (r *RCU) RegisterMetrics(reg *metrics.Registry) {
 	reg.RegisterCounter("prudence_rcu_quiescent_reports_total",
 		"Quiescent states reported (context switches observed).", r.qsReports)
 	reg.CounterFunc("prudence_rcu_synchronize_calls_total", "Blocking Synchronize calls.",
-		func() float64 { return float64(r.syncCalls.Load()) })
-	reg.CounterFunc("prudence_sync_expedited_advances_total", "Grace periods started on the expedited path (inter-GP gap skipped on demand).",
-		func() float64 { return float64(r.expeditedGPs.Load()) })
+		func() float64 { return float64(r.SynchronizeCalls()) })
 	reg.GaugeFunc("prudence_rcu_callbacks_per_gp", "Mean callbacks invoked per completed grace period.",
 		func() float64 {
 			gps := r.gpCompleted.Load()
@@ -683,79 +491,17 @@ func (r *RCU) RegisterMetrics(reg *metrics.Registry) {
 		})
 }
 
-// gpDriver is the grace-period kthread analogue: it starts a grace
-// period whenever there is demand (pending callbacks, NeedGP, or
-// waiters), waits for every CPU to pass a quiescent state, and then
-// marks the grace period completed.
-func (r *RCU) gpDriver() {
-	defer r.wg.Done()
-	timer := time.NewTimer(r.opts.MinGPInterval)
-	defer timer.Stop()
-	lastGP := time.Now()
-	for {
-		// Wait for demand.
-		if !r.demandGP() {
-			select {
-			case <-r.stop:
-				return
-			case <-r.kick:
-			case <-timer.C:
-				timer.Reset(r.opts.MinGPInterval)
-			}
-			continue
-		}
-		// Enforce the inter-GP gap unless expediting — under pressure
-		// or on explicit expedited demand.
-		expedited := r.pressure.Load() || r.expedite.Load()
-		if !expedited {
-			if gap := time.Since(lastGP); gap < r.opts.MinGPInterval {
-				select {
-				case <-r.stop:
-					return
-				case <-time.After(r.opts.MinGPInterval - gap):
-				}
-				// Expedited demand may have arrived during the gap.
-				expedited = r.pressure.Load() || r.expedite.Load()
-			}
-		}
-		if expedited {
-			r.expeditedGPs.Add(1)
-		}
-		r.needGP.Store(false)
-		target := r.gpStarted.Add(1)
-		gpBegin := time.Now()
-		if !r.waitForQS(target) {
-			return // stopping
-		}
-		// Chaos: stall the grace period after quiescence is observed but
-		// before completion is published — every waiter sees an
-		// arbitrarily late grace period.
-		//prudence:fault_point
-		if d := fault.FireDelay(fault.GPStall); d > 0 {
-			select {
-			case <-r.stop:
-				return
-			case <-time.After(d):
-			}
-		}
-		r.gpCompleted.Store(target)
-		r.expedite.Store(false)
-		r.gpHist.Observe(time.Since(gpBegin))
-		lastGP = time.Now()
-		r.gpMu.Lock()
-		r.gpCond.Broadcast()
-		r.gpMu.Unlock()
-		for _, cs := range r.percpu {
-			select {
-			case cs.wake <- struct{}{}:
-			default:
-			}
+// completeGP publishes the grace period waitForQS observed and wakes
+// the callback processors to invoke what it made ready.
+func (r *RCU) completeGP() bool {
+	r.gpCompleted.Store(r.gpStarted.Load())
+	for _, cs := range r.percpu {
+		select {
+		case cs.wake <- struct{}{}:
+		default:
 		}
 	}
-}
-
-func (r *RCU) demandGP() bool {
-	return r.pending.Load() > 0 || r.needGP.Load()
+	return true
 }
 
 // waitForQS blocks until every CPU has either reported a quiescent state
@@ -784,10 +530,8 @@ func (r *RCU) waitForQS(target uint64) bool {
 		if remaining == 0 {
 			break
 		}
-		select {
-		case <-r.stop:
+		if !r.Sleep(r.opts.QSPollInterval) {
 			return false
-		case <-time.After(r.opts.QSPollInterval):
 		}
 	}
 	return true
@@ -800,11 +544,11 @@ func (r *RCU) waitForQS(target uint64) bool {
 // bounded processing rate is what the paper identifies as the source of
 // extended object lifetimes.
 func (r *RCU) cbProcessor(cpu int) {
-	defer r.wg.Done()
+	defer r.procs.Done()
 	cs := r.percpu[cpu]
 	for {
 		select {
-		case <-r.stop:
+		case <-r.Done():
 			r.drainReady(cs)
 			return
 		case <-cs.wake:
@@ -832,8 +576,8 @@ func (r *RCU) cbProcessor(cpu int) {
 			// Chaos: delay offloaded callback invocation.
 			//prudence:fault_point
 			fault.Sleep(fault.CBDelay)
-			for _, cb := range batch {
-				cb.invoke()
+			for i := range batch {
+				batch[i].Reclaim()
 			}
 			r.cbInvoked.Add(uint64(len(batch)))
 			r.pending.Add(int64(-len(batch)))
@@ -845,11 +589,9 @@ func (r *RCU) cbProcessor(cpu int) {
 				delay = r.opts.ExpeditedDelay
 			}
 			if delay > 0 {
-				select {
-				case <-r.stop:
+				if !r.Sleep(delay) {
 					r.drainReady(cs)
 					return
-				case <-time.After(delay):
 				}
 			}
 		}
@@ -859,18 +601,18 @@ func (r *RCU) cbProcessor(cpu int) {
 // takeReady removes and returns up to limit callbacks from the front of
 // cs's queue whose cookies have elapsed. Cookies are monotonic per CPU,
 // so the ready callbacks form a prefix.
-func (r *RCU) takeReady(cs *cpuState, limit int) []callback {
+func (r *RCU) takeReady(cs *cpuState, limit int) []gsync.Retired {
 	completed := r.gpCompleted.Load()
 	cs.cbMu.Lock()
 	defer cs.cbMu.Unlock()
 	n := 0
-	for n < len(cs.cbs) && n < limit && uint64(cs.cbs[n].cookie) <= completed {
+	for n < len(cs.cbs) && n < limit && uint64(cs.cbs[n].Cookie) <= completed {
 		n++
 	}
 	if n == 0 {
 		return nil
 	}
-	batch := make([]callback, n)
+	batch := make([]gsync.Retired, n)
 	copy(batch, cs.cbs[:n])
 	cs.cbs = cs.cbs[n:]
 	cs.cbCount.Add(int64(-n))
@@ -883,8 +625,8 @@ func (r *RCU) drainReady(cs *cpuState) {
 		if len(batch) == 0 {
 			return
 		}
-		for _, cb := range batch {
-			cb.invoke()
+		for i := range batch {
+			batch[i].Reclaim()
 		}
 		r.cbInvoked.Add(uint64(len(batch)))
 		r.pending.Add(int64(-len(batch)))
@@ -893,8 +635,8 @@ func (r *RCU) drainReady(cs *cpuState) {
 
 // DebugState reports per-CPU quiescent bookkeeping for diagnostics.
 func (r *RCU) DebugState() string {
-	out := fmt.Sprintf("started=%d completed=%d pending=%d needGP=%v pressure=%v |",
-		r.gpStarted.Load(), r.gpCompleted.Load(), r.pending.Load(), r.needGP.Load(), r.pressure.Load())
+	out := fmt.Sprintf("started=%d completed=%d pending=%d pressure=%v |",
+		r.gpStarted.Load(), r.gpCompleted.Load(), r.pending.Load(), r.pressure.Load())
 	for i, cs := range r.percpu {
 		out += fmt.Sprintf(" cpu%d{nest=%d qs=%d idle=%v}", i, cs.nesting.Load(), cs.qsSeq.Load(), cs.idle.Load())
 	}

@@ -6,8 +6,22 @@ import (
 	"testing"
 	"time"
 
+	gsync "prudence/internal/sync"
+	"prudence/internal/sync/synctest"
 	"prudence/internal/vcpu"
 )
+
+// call queues fn as an RCU callback: fn rides as the payload of a
+// reclaimer that just runs it.
+func (r *RCU) call(cpu int, fn func()) { r.RetireObject(cpu, synctest.Func, fn, 0) }
+
+// waitElapsed blocks until c elapses, from a goroutine that owns no CPU.
+func waitElapsed(r *RCU, c gsync.Cookie) {
+	for !r.Elapsed(c) && !r.Stopped() {
+		r.ExpediteGP()
+		time.Sleep(20 * time.Microsecond)
+	}
+}
 
 // fastOpts keeps grace periods quick so tests stay snappy.
 func fastOpts() Options {
@@ -56,7 +70,7 @@ func TestGracePeriodWaitsForReader(t *testing.T) {
 	released := make(chan struct{})
 	synced := make(chan struct{})
 	go func() {
-		r.WaitElapsed(cookie)
+		waitElapsed(r, cookie)
 		close(synced)
 	}()
 	// The grace period must not complete while CPU 0 is in a read-side
@@ -99,7 +113,7 @@ func TestElapsedMonotoneAndSnapshotFresh(t *testing.T) {
 func TestCallbackInvokedAfterGracePeriod(t *testing.T) {
 	_, r := newEngine(t, 2)
 	var invoked atomic.Bool
-	r.Call(0, func() { invoked.Store(true) })
+	r.call(0, func() { invoked.Store(true) })
 	deadline := time.After(5 * time.Second)
 	for !invoked.Load() {
 		select {
@@ -126,7 +140,7 @@ func TestCallbackOrderingFIFOPerCPU(t *testing.T) {
 	done := make(chan struct{})
 	for i := 0; i < n; i++ {
 		i := i
-		r.Call(0, func() {
+		r.call(0, func() {
 			mu.Lock()
 			order = append(order, i)
 			if len(order) == n {
@@ -163,7 +177,7 @@ func TestThrottlingBoundsBatchSize(t *testing.T) {
 	const n = 25
 	var invoked atomic.Int32
 	for i := 0; i < n; i++ {
-		r.Call(0, func() { invoked.Add(1) })
+		r.call(0, func() { invoked.Add(1) })
 	}
 	// Wait for the grace period, then sample shortly after the first
 	// batch: with blimit 5 and 2ms delay, all 25 can't be done quickly.
@@ -202,7 +216,7 @@ func TestPressureExpeditesProcessing(t *testing.T) {
 	const n = 200
 	var invoked atomic.Int32
 	for i := 0; i < n; i++ {
-		r.Call(0, func() { invoked.Add(1) })
+		r.call(0, func() { invoked.Add(1) })
 	}
 	deadline := time.After(5 * time.Second)
 	for invoked.Load() != n {
@@ -266,7 +280,7 @@ func TestNestedReaders(t *testing.T) {
 	cookie := r.Snapshot()
 	done := make(chan struct{})
 	go func() {
-		r.WaitElapsed(cookie)
+		waitElapsed(r, cookie)
 		close(done)
 	}()
 	select {
@@ -342,7 +356,7 @@ func TestStopDrainsElapsedCallbacks(t *testing.T) {
 	var invoked atomic.Int32
 	const n = 10
 	for i := 0; i < n; i++ {
-		r.Call(0, func() { invoked.Add(1) })
+		r.call(0, func() { invoked.Add(1) })
 	}
 	r.Synchronize() // grace period elapsed; callbacks throttled
 	r.Stop()        // must drain ready callbacks
@@ -357,7 +371,7 @@ func TestManyCallersConcurrent(t *testing.T) {
 	const perCPU = 200
 	m.RunOnAll(func(c *vcpu.CPU) {
 		for i := 0; i < perCPU; i++ {
-			r.Call(c.ID(), func() { invoked.Add(1) })
+			r.call(c.ID(), func() { invoked.Add(1) })
 		}
 	})
 	deadline := time.After(20 * time.Second)
@@ -377,7 +391,7 @@ func TestManyCallersConcurrent(t *testing.T) {
 
 func TestSnapshotElapsedAcrossManyGPs(t *testing.T) {
 	_, r := newEngine(t, 1)
-	var cookies []Cookie
+	var cookies []gsync.Cookie
 	for i := 0; i < 5; i++ {
 		cookies = append(cookies, r.Snapshot())
 		r.Synchronize()
@@ -395,7 +409,7 @@ func TestBarrierWaitsForAllQueued(t *testing.T) {
 	const perCPU = 50
 	for cpu := 0; cpu < m.NumCPU(); cpu++ {
 		for i := 0; i < perCPU; i++ {
-			r.Call(cpu, func() { invoked.Add(1) })
+			r.call(cpu, func() { invoked.Add(1) })
 		}
 	}
 	r.Barrier()
@@ -420,22 +434,22 @@ func TestBarrierEmptyQueues(t *testing.T) {
 
 func TestWaitElapsedOnTreatsCPUQuiescent(t *testing.T) {
 	_, r := newEngine(t, 2)
-	// CPU 0 is active (non-idle) and will block inside WaitElapsedOn;
-	// the grace period must still complete because a blocked waiter is
-	// context-switched.
+	// CPU 0 is active (non-idle) and will block inside
+	// WaitElapsedOnTimeout; the grace period must still complete
+	// because a blocked waiter is context-switched.
 	r.ExitIdle(0)
 	defer r.EnterIdle(0)
 	done := make(chan struct{})
 	go func() {
-		if !r.WaitElapsedOn(0, r.Snapshot()) {
-			t.Error("WaitElapsedOn returned false")
+		if !r.WaitElapsedOnTimeout(0, r.Snapshot(), time.Minute) {
+			t.Error("WaitElapsedOnTimeout returned false")
 		}
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("WaitElapsedOn self-deadlocked on an active CPU")
+		t.Fatal("WaitElapsedOnTimeout self-deadlocked on an active CPU")
 	}
 }
 
@@ -446,10 +460,10 @@ func TestWaitElapsedOnInsideReaderPanics(t *testing.T) {
 	defer r.ReadUnlock(0)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("WaitElapsedOn inside reader did not panic")
+			t.Fatal("WaitElapsedOnTimeout inside reader did not panic")
 		}
 	}()
-	r.WaitElapsedOn(0, r.Snapshot())
+	r.WaitElapsedOnTimeout(0, r.Snapshot(), time.Minute)
 }
 
 func TestSynchronizeOnRestoresIdleState(t *testing.T) {
@@ -463,7 +477,7 @@ func TestSynchronizeOnRestoresIdleState(t *testing.T) {
 	cookie := r.Snapshot()
 	done := make(chan struct{})
 	go func() {
-		r.WaitElapsed(cookie)
+		waitElapsed(r, cookie)
 		close(done)
 	}()
 	select {

@@ -50,7 +50,7 @@ type table struct {
 }
 
 // New creates a map with the given power-of-two bucket count. r
-// provides synchronization (internal/rcu or internal/ebr).
+// provides synchronization (any registered sync.Backend).
 func New(cache alloc.Cache, r Sync, buckets int) *Map {
 	if buckets <= 0 || buckets&(buckets-1) != 0 {
 		panic("rcuhash: bucket count must be a positive power of two")

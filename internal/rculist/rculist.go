@@ -53,7 +53,7 @@ type List struct {
 }
 
 // New creates a list whose element payloads are allocated from cache.
-// r provides read-side protection (internal/rcu or internal/ebr).
+// r provides read-side protection (any registered sync.Backend).
 func New(cache alloc.Cache, r ReadSync) *List {
 	return &List{cache: cache, rcu: r}
 }

@@ -49,7 +49,7 @@ type Tree struct {
 }
 
 // New creates a tree whose values are allocated from cache. r provides
-// read-side protection (internal/rcu or internal/ebr).
+// read-side protection (any registered sync.Backend).
 func New(cache alloc.Cache, r rculist.ReadSync) *Tree {
 	return &Tree{cache: cache, rcu: r}
 }

@@ -211,8 +211,11 @@ type Server struct {
 	queues []chan *Batch
 	stop   chan struct{}
 	closed atomic.Bool
-	wg     stdsync.WaitGroup
-	once   stdsync.Once
+	// submitting counts Submit/TrySubmit calls in flight, so Close can
+	// tell when no racing submitter can still enqueue.
+	submitting atomic.Int64
+	wg         stdsync.WaitGroup
+	once       stdsync.Once
 
 	reg     *metrics.Registry
 	latency [numOpKinds]*stats.Histogram
@@ -355,6 +358,8 @@ func mix64(x uint64) uint64 {
 // Submit enqueues b on shard, blocking while the queue is full. It
 // fails only once the server is closing.
 func (s *Server) Submit(shard int, b *Batch) error {
+	s.submitting.Add(1)
+	defer s.submitting.Add(-1)
 	if s.closed.Load() {
 		return ErrServerClosed
 	}
@@ -372,6 +377,8 @@ func (s *Server) Submit(shard int, b *Batch) error {
 // the backend is behind the update rate, and shedding load without
 // expediting would leave the latent backlog in place.
 func (s *Server) TrySubmit(shard int, b *Batch) error {
+	s.submitting.Add(1)
+	defer s.submitting.Add(-1)
 	if s.closed.Load() {
 		return ErrServerClosed
 	}
@@ -672,24 +679,33 @@ func (s *Server) Close() {
 		s.closed.Store(true)
 		close(s.stop)
 		s.wg.Wait()
-		// A submitter that raced Close may have enqueued after its
-		// worker's final drain pass; fail those batches explicitly so
-		// no client waits forever on a reply.
-		for _, q := range s.queues {
-		sweep:
-			for {
-				select {
-				case b := <-q:
-					for i := range b.Ops {
-						b.Ops[i].Status = StatusShutdown
+		// A submitter that raced Close may enqueue after its worker's
+		// final drain pass (its select finds both the queue and stop
+		// ready); fail those batches explicitly so no client waits
+		// forever on a reply. Sweep until no submitter is in flight:
+		// any later one sees closed and enqueues nothing.
+		for {
+			idle := s.submitting.Load() == 0
+			for _, q := range s.queues {
+			sweep:
+				for {
+					select {
+					case b := <-q:
+						for i := range b.Ops {
+							b.Ops[i].Status = StatusShutdown
+						}
+						if b.Reply != nil {
+							b.Reply <- b
+						}
+					default:
+						break sweep
 					}
-					if b.Reply != nil {
-						b.Reply <- b
-					}
-				default:
-					break sweep
 				}
 			}
+			if idle {
+				break
+			}
+			time.Sleep(10 * time.Microsecond)
 		}
 		s.sessionCache.Drain()
 		s.routeCache.Drain()

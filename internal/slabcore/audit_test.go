@@ -7,7 +7,7 @@ import (
 
 	"prudence/internal/memarena"
 	"prudence/internal/pagealloc"
-	"prudence/internal/rcu"
+	gsync "prudence/internal/sync"
 )
 
 func TestAuditCleanCache(t *testing.T) {
@@ -96,7 +96,7 @@ func TestAuditAllowsLatentPlacements(t *testing.T) {
 		refs = append(refs, s.PopFree())
 	}
 	for _, r := range refs {
-		s.PushLatent(r.Idx, rcu.Cookie(3))
+		s.PushLatent(r.Idx, gsync.Cookie(3))
 	}
 	n.Move(s, ListFree) // PredictedList placement
 	n.Unlock()

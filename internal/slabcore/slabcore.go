@@ -15,8 +15,8 @@ import (
 
 	"prudence/internal/memarena"
 	"prudence/internal/pagealloc"
-	"prudence/internal/rcu"
 	"prudence/internal/stats"
+	gsync "prudence/internal/sync"
 	"prudence/internal/trace"
 	"prudence/internal/view"
 )
@@ -131,7 +131,7 @@ func (l ListID) String() string {
 // latentEntry records one deferred object resident in a latent slab,
 // stamped with the grace-period cookie after which it may be reused.
 type latentEntry struct {
-	cookie rcu.Cookie
+	cookie gsync.Cookie
 	idx    uint32
 }
 
@@ -158,7 +158,7 @@ type Slab struct {
 	// latentMin is the smallest cookie among latent entries; Reconcile
 	// is O(1) when even the oldest entry has not elapsed.
 	//prudence:guarded_by Node
-	latentMin rcu.Cookie
+	latentMin gsync.Cookie
 	// pad is the per-side red-zone width (0 unless debugging).
 	pad int
 
@@ -277,7 +277,7 @@ func (s *Slab) PushFree(idx uint32, poison bool) {
 // grace-period cookie. Caller must hold the node lock.
 //
 //prudence:requires Node
-func (s *Slab) PushLatent(idx uint32, cookie rcu.Cookie) {
+func (s *Slab) PushLatent(idx uint32, cookie gsync.Cookie) {
 	if len(s.latent) == 0 || cookie < s.latentMin {
 		s.latentMin = cookie
 	}
@@ -304,7 +304,7 @@ func (s *Slab) poisonObject(idx uint32) {
 // touches the slab.
 //
 //prudence:requires Node
-func (s *Slab) Reconcile(elapsed func(rcu.Cookie) bool, poison bool) int {
+func (s *Slab) Reconcile(elapsed func(gsync.Cookie) bool, poison bool) int {
 	if len(s.latent) == 0 {
 		return 0
 	}
@@ -900,7 +900,7 @@ func (c *PerCPUCache) Take(n int) []Ref {
 // and the number of latent objects promoted during reconciliation (the
 // caller's latent accounting must subtract these). Caller must NOT hold
 // the node lock.
-func (b *Base) ShrinkNode(n *Node, limit int, elapsed func(rcu.Cookie) bool) (freed, promoted int) {
+func (b *Base) ShrinkNode(n *Node, limit int, elapsed func(gsync.Cookie) bool) (freed, promoted int) {
 	n.Lock()
 	var victims []*Slab
 	s := n.freeL.front()

@@ -7,7 +7,7 @@ import (
 
 	"prudence/internal/memarena"
 	"prudence/internal/pagealloc"
-	"prudence/internal/rcu"
+	gsync "prudence/internal/sync"
 )
 
 func newBase(t *testing.T, cfg CacheConfig) *Base {
@@ -176,22 +176,22 @@ func TestLatentReconcile(t *testing.T) {
 	n.Lock()
 	defer n.Unlock()
 	r1, r2, r3 := s.PopFree(), s.PopFree(), s.PopFree()
-	s.PushLatent(r1.Idx, rcu.Cookie(5))
-	s.PushLatent(r2.Idx, rcu.Cookie(7))
-	s.PushLatent(r3.Idx, rcu.Cookie(6))
+	s.PushLatent(r1.Idx, gsync.Cookie(5))
+	s.PushLatent(r2.Idx, gsync.Cookie(7))
+	s.PushLatent(r3.Idx, gsync.Cookie(6))
 	if s.LatentCount() != 3 || s.InUse() != 0 {
 		t.Fatalf("latent=%d inUse=%d", s.LatentCount(), s.InUse())
 	}
 	// Only cookies <= 6 elapsed; note r2 (cookie 7) is in the middle of
 	// FIFO order and must be retained.
-	promoted := s.Reconcile(func(c rcu.Cookie) bool { return c <= 6 }, false)
+	promoted := s.Reconcile(func(c gsync.Cookie) bool { return c <= 6 }, false)
 	if promoted != 2 {
 		t.Fatalf("promoted %d, want 2", promoted)
 	}
 	if s.LatentCount() != 1 || s.FreeCount() != 7 {
 		t.Fatalf("after reconcile latent=%d free=%d", s.LatentCount(), s.FreeCount())
 	}
-	promoted = s.Reconcile(func(rcu.Cookie) bool { return true }, false)
+	promoted = s.Reconcile(func(gsync.Cookie) bool { return true }, false)
 	if promoted != 1 || s.LatentCount() != 0 || s.FreeCount() != 8 {
 		t.Fatalf("final reconcile promoted=%d latent=%d free=%d", promoted, s.LatentCount(), s.FreeCount())
 	}
@@ -290,7 +290,7 @@ func TestHomeAndPredictedList(t *testing.T) {
 	}
 	// Defer-free one object: conventionally still full-ish (no free
 	// objects), but the prediction says partial — the premove hint.
-	s.PushLatent(refs[0].Idx, rcu.Cookie(1))
+	s.PushLatent(refs[0].Idx, gsync.Cookie(1))
 	if HomeList(s) != ListFull {
 		t.Fatalf("HomeList with latent = %v, want full", HomeList(s))
 	}
@@ -298,9 +298,9 @@ func TestHomeAndPredictedList(t *testing.T) {
 		t.Fatalf("PredictedList with latent = %v, want partial", PredictedList(s))
 	}
 	// Defer-free everything else: prediction says entirely free.
-	s.PushLatent(r.Idx, rcu.Cookie(1))
+	s.PushLatent(r.Idx, gsync.Cookie(1))
 	for _, rr := range refs[1:] {
-		s.PushLatent(rr.Idx, rcu.Cookie(1))
+		s.PushLatent(rr.Idx, gsync.Cookie(1))
 	}
 	if PredictedList(s) != ListFree {
 		t.Fatalf("PredictedList all-latent = %v, want free", PredictedList(s))
@@ -462,8 +462,8 @@ func TestPropertySlabAccounting(t *testing.T) {
 		n.Lock()
 		defer n.Unlock()
 		var held []Ref
-		cookie := rcu.Cookie(1)
-		elapsed := rcu.Cookie(0)
+		cookie := gsync.Cookie(1)
+		elapsed := gsync.Cookie(0)
 		for op := 0; op < 300; op++ {
 			switch rng.Intn(4) {
 			case 0: // pop
@@ -486,8 +486,8 @@ func TestPropertySlabAccounting(t *testing.T) {
 					held = held[:len(held)-1]
 				}
 			case 3: // reconcile up to a random elapsed point
-				elapsed = rcu.Cookie(rng.Intn(int(cookie) + 1))
-				s.Reconcile(func(c rcu.Cookie) bool { return c <= elapsed }, false)
+				elapsed = gsync.Cookie(rng.Intn(int(cookie) + 1))
+				s.Reconcile(func(c gsync.Cookie) bool { return c <= elapsed }, false)
 			}
 			if s.FreeCount()+s.LatentCount()+s.InUse() != s.Capacity() {
 				return false

@@ -15,7 +15,6 @@ import (
 	// paths, not just the one the other tests happen to link.
 	_ "prudence/internal/ebr"
 	_ "prudence/internal/hp"
-	_ "prudence/internal/nebr"
 )
 
 // TestFreeDeferredZeroAllocs pins the BENCH_PR8 fix: the steady-state

@@ -42,7 +42,7 @@ var _ alloc.Allocator = (*Allocator)(nil)
 
 // New creates a SLUB allocator over the given page allocator. r is the
 // reclamation backend used to defer frees — any registered scheme (rcu,
-// ebr, hp, nebr) works, since the allocator only needs Retire and
+// ebr, hp, nebr) works, since the allocator only needs RetireObject and
 // Barrier; cpus is the machine's CPU count.
 func New(pages *pagealloc.Allocator, r gsync.Backend, cpus int) *Allocator {
 	return &Allocator{pages: pages, sync: r, cpus: cpus}

@@ -60,43 +60,33 @@ func (o QueueOptions) withDefaults() QueueOptions {
 	return o
 }
 
-// retired is one deferred free stamped with the cookie it must outwait.
-// It carries either a closure (fn, the Retire path) or a non-closure
-// (rec, obj, idx) triple (the RetireObject path); the latter is what
-// keeps the steady-state deferred-free path at zero allocations per
-// call.
-type retired struct {
-	c   Cookie
-	fn  func()
-	rec Reclaimer
-	obj any
-	idx uint64
-	cpu int32
+// Retired is one RetireObject payload stamped with the cookie it must
+// outwait; every backend's retire lists hold these.
+type Retired struct {
+	Cookie Cookie
+	Rec    Reclaimer
+	Obj    any
+	Idx    uint64
+	CPU    int32
 }
 
-// invoke runs the deferred work, whichever form it was enqueued in.
-func (r *retired) invoke() {
-	if r.rec != nil {
-		r.rec.ReclaimRetired(int(r.cpu), r.obj, r.idx)
-		return
-	}
-	r.fn()
-}
+// Reclaim hands the payload to its reclaimer.
+func (r *Retired) Reclaim() { r.Rec.ReclaimRetired(int(r.CPU), r.Obj, r.Idx) }
 
 // rqShard is one CPU's limbo bag. Entries are appended in Snapshot
 // order, so the bag is cookie-sorted and the drainer frees a prefix.
 type rqShard struct {
-	// mu guards the bag only; it is released before any retired
-	// function runs (retired functions take allocator locks).
+	// mu guards the bag only; it is released before any reclaimer
+	// runs (reclaimers take allocator locks).
 	//
 	//prudence:lockorder 42
 	mu  stdsync.Mutex
-	bag []retired //prudence:guarded_by mu
+	bag []Retired //prudence:guarded_by mu
 	// burst is drain-side scratch for the ready prefix, reused across
 	// bursts so steady-state draining allocates nothing. Only the
 	// drain side touches it (the drainer goroutine while it runs, the
 	// stopping goroutine after the drainer has exited), never under mu.
-	burst []retired
+	burst []Retired
 	// seq counts entries ever enqueued; done counts entries ever
 	// invoked. Barrier waits for done to reach its snapshot of seq —
 	// sound because the bag drains FIFO.
@@ -104,14 +94,14 @@ type rqShard struct {
 	done atomic.Uint64
 }
 
-// RetireQueue gives per-batch schemes (ebr, nebr) their per-object
+// RetireQueue gives the epoch engine (ebr, nebr) its per-object
 // retirement hook: per-CPU cookie-stamped limbo bags drained by one
 // background goroutine as grace periods elapse. It is the moral
-// equivalent of internal/rcu's callback lists, shared so every epoch
-// flavor does not reimplement batching, throttling, barriers and
-// pressure expediting. Drain batches scale with the backlog (see
-// QueueOptions.Qhimark) so a sustained deferred-free storm cannot grow
-// the limbo bags without bound — the nebr×slub endurance OOM class.
+// equivalent of internal/rcu's callback lists: batching, throttling,
+// barriers and pressure expediting. Drain batches scale with the
+// backlog (see QueueOptions.Qhimark) so a sustained deferred-free storm
+// cannot grow the limbo bags without bound — the nebr×slub endurance
+// OOM class.
 type RetireQueue struct {
 	gp     GracePoller
 	shards []*rqShard
@@ -148,23 +138,18 @@ func NewRetireQueue(gp GracePoller, cpus int, opts QueueOptions) *RetireQueue {
 	return q
 }
 
-// Retire enqueues fn on cpu's limbo bag, stamped with the current
-// grace-period cookie, and raises demand so the epoch machinery moves —
-// expedited demand once the backlog has grown past the qhimark.
-func (q *RetireQueue) Retire(cpu int, fn func()) {
-	q.enqueue(cpu, retired{fn: fn})
-}
-
-// RetireObject is the non-closure Retire variant: same ordering
-// contract, zero allocations on the enqueue path (the bag's capacity
-// is reused once the drain has caught up).
+// RetireObject enqueues the payload on cpu's limbo bag, stamped with
+// the current grace-period cookie, and raises demand so the epoch
+// machinery moves — expedited demand once the backlog has grown past
+// the qhimark. The enqueue allocates nothing once the bag's capacity
+// is warm.
 func (q *RetireQueue) RetireObject(cpu int, rec Reclaimer, obj any, idx uint64) {
-	q.enqueue(cpu, retired{rec: rec, obj: obj, idx: idx, cpu: int32(cpu)})
+	q.enqueue(cpu, Retired{Rec: rec, Obj: obj, Idx: idx, CPU: int32(cpu)})
 }
 
-func (q *RetireQueue) enqueue(cpu int, r retired) {
+func (q *RetireQueue) enqueue(cpu int, r Retired) {
 	s := q.shards[cpu]
-	r.c = q.gp.Snapshot()
+	r.Cookie = q.gp.Snapshot()
 	s.mu.Lock()
 	s.bag = append(s.bag, r)
 	s.mu.Unlock()
@@ -184,7 +169,7 @@ func (q *RetireQueue) enqueue(cpu int, r retired) {
 	}
 }
 
-// Pending returns the number of retired functions not yet invoked.
+// Pending returns the number of retirements not yet reclaimed.
 func (q *RetireQueue) Pending() int64 { return q.pending.Load() }
 
 // MaxBacklog returns the high-water mark of Pending.
@@ -325,11 +310,11 @@ func (q *RetireQueue) drainShard(i int, stopping bool) {
 		limit, expedited := q.effectiveBatch()
 		s.mu.Lock()
 		ready := 0
-		for ready < len(s.bag) && ready < limit && q.gp.Elapsed(s.bag[ready].c) {
+		for ready < len(s.bag) && ready < limit && q.gp.Elapsed(s.bag[ready].Cookie) {
 			ready++
 		}
 		if cap(s.burst) < ready {
-			s.burst = make([]retired, ready)
+			s.burst = make([]Retired, ready)
 		}
 		burst := s.burst[:ready]
 		copy(burst, s.bag[:ready])
@@ -339,7 +324,7 @@ func (q *RetireQueue) drainShard(i int, stopping bool) {
 		n := copy(s.bag, s.bag[ready:])
 		tail := s.bag[n:]
 		for i := range tail {
-			tail[i] = retired{} // drop closure/payload references
+			tail[i] = Retired{} // drop payload references
 		}
 		s.bag = s.bag[:n]
 		s.mu.Unlock()
@@ -350,8 +335,8 @@ func (q *RetireQueue) drainShard(i int, stopping bool) {
 			q.expeditedDrains.Add(1)
 		}
 		for i := range burst {
-			burst[i].invoke()
-			burst[i] = retired{}
+			burst[i].Reclaim()
+			burst[i] = Retired{}
 		}
 		s.done.Add(uint64(ready))
 		q.pending.Add(-int64(ready))

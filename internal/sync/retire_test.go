@@ -6,6 +6,7 @@ import (
 	"time"
 
 	gsync "prudence/internal/sync"
+	"prudence/internal/sync/synctest"
 )
 
 // fakePoller is a hand-cranked grace-period source: cookies are epoch+1
@@ -33,7 +34,7 @@ func TestRetireQueueDrainsInOrder(t *testing.T) {
 	done := make(chan int, 10)
 	for i := 0; i < 10; i++ {
 		i := i
-		q.Retire(0, func() { done <- i })
+		q.RetireObject(0, synctest.Func, func() { done <- i }, 0)
 	}
 	if got := q.Pending(); got != 10 {
 		t.Fatalf("Pending = %d, want 10", got)
@@ -75,9 +76,9 @@ func TestRetireQueuePartialElapse(t *testing.T) {
 	defer q.Stop()
 
 	var early, late atomic.Bool
-	q.Retire(0, func() { early.Store(true) }) // cookie 1
-	fp.Advance()                              // epoch 1
-	q.Retire(0, func() { late.Store(true) })  // cookie 2
+	q.RetireObject(0, synctest.Func, func() { early.Store(true) }, 0) // cookie 1
+	fp.Advance()                                                      // epoch 1
+	q.RetireObject(0, synctest.Func, func() { late.Store(true) }, 0)  // cookie 2
 
 	deadline := time.Now().Add(5 * time.Second)
 	for !early.Load() {
@@ -96,7 +97,7 @@ func TestRetireQueuePartialElapse(t *testing.T) {
 	}
 }
 
-// Past the qhimark, Retire escalates to expedited grace-period demand
+// Past the qhimark, RetireObject escalates to expedited grace-period demand
 // and drains run above the throttled batch size (batch limits come off
 // entirely), so a deferred-free storm cannot grow the bags unboundedly.
 func TestRetireQueueQhimarkEscalation(t *testing.T) {
@@ -111,7 +112,7 @@ func TestRetireQueueQhimarkEscalation(t *testing.T) {
 
 	var invoked atomic.Int64
 	for i := 0; i < 64; i++ {
-		q.Retire(0, func() { invoked.Add(1) })
+		q.RetireObject(0, synctest.Func, func() { invoked.Add(1) }, 0)
 	}
 	if fp.expedite.Load() == 0 {
 		t.Fatal("backlog past qhimark never raised expedited demand")
@@ -132,11 +133,11 @@ func TestRetireQueueBelowQhimarkPlainDemand(t *testing.T) {
 	q := gsync.NewRetireQueue(fp, 1, gsync.QueueOptions{
 		Batch:   4,
 		Qhimark: 1000,
-		Poll:    time.Hour, // drainer parked: only Retire raises demand
+		Poll:    time.Hour, // drainer parked: only RetireObject raises demand
 	})
 	defer q.Stop()
 	for i := 0; i < 8; i++ {
-		q.Retire(0, func() {})
+		q.RetireObject(0, synctest.Func, func() {}, 0)
 	}
 	if fp.expedite.Load() != 0 {
 		t.Fatalf("expedited demand raised %d times below the qhimark", fp.expedite.Load())
@@ -152,9 +153,9 @@ func TestRetireQueueStopDrainsElapsed(t *testing.T) {
 	fp := &fakePoller{}
 	q := gsync.NewRetireQueue(fp, 1, gsync.QueueOptions{Poll: time.Hour}) // drainer effectively parked
 	var elapsed, pinned atomic.Bool
-	q.Retire(0, func() { elapsed.Store(true) }) // cookie 1
-	fp.Advance()                                // epoch 1: first entry elapsed
-	q.Retire(0, func() { pinned.Store(true) })  // cookie 2: never elapses
+	q.RetireObject(0, synctest.Func, func() { elapsed.Store(true) }, 0) // cookie 1
+	fp.Advance()                                                        // epoch 1: first entry elapsed
+	q.RetireObject(0, synctest.Func, func() { pinned.Store(true) }, 0)  // cookie 2: never elapses
 	q.Stop()
 	if !elapsed.Load() {
 		t.Fatal("Stop stranded an elapsed entry")
@@ -165,8 +166,7 @@ func TestRetireQueueStopDrainsElapsed(t *testing.T) {
 }
 
 // chanReclaimer signals each RetireObject delivery so tests can assert
-// the non-closure path preserves its payload and interleaves FIFO with
-// the closure path on the same shard.
+// the payload arrives intact and in FIFO order.
 type chanReclaimer struct {
 	got chan [2]uint64 // {idx, cpu}
 }

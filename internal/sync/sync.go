@@ -1,25 +1,30 @@
 // Package sync defines the canonical synchronization-backend surface of
 // the repository: one interface every procrastination-based reclamation
-// scheme implements, and a name-keyed registry through which the facade
-// resolves Config.Reclamation.
+// scheme implements, a name-keyed registry through which the facade
+// resolves Config.Reclamation, and the scheme-independent machinery the
+// backends share.
 //
-// The interface unifies what used to be four partial views of the same
-// engines — core.GracePeriods (the allocator's pollable grace-period
-// state, the paper's §4 integration surface), the facade's private
-// readSync, rcuhash.Sync and rculist.ReadSync (the data structures'
-// read-side markers) — and adds the per-object retirement hook (Retire/
-// Barrier) that SLUB's deferred frees need. Per-batch schemes (rcu, ebr,
-// nebr) implement Retire with a cookie-stamped queue; per-pointer
-// schemes (hazard pointers) implement it with retire lists scanned
-// against published protections. Both fit behind the same eleven words
-// of contract: a retired function runs after every reader that could
-// hold the object has finished.
+// Backend is the union of the allocator's pollable grace-period state
+// (the paper's §4 integration surface), the read-side markers the
+// RCU-protected data structures need, and the per-object retirement
+// hook (RetireObject/Barrier) that SLUB's deferred frees go through.
+// Per-batch schemes (rcu, ebr/nebr) retire into cookie-stamped queues;
+// per-pointer schemes (hazard pointers) into retire lists scanned
+// against published protections. Both fit behind the same contract: a
+// retired object is reclaimed after every reader that could hold it has
+// finished.
+//
+// Every backend embeds a Driver, which owns grace-period demand, pacing,
+// the blocking waits, shutdown and the shared prudence_gp_* series; the
+// backend supplies only its Policy — what one advance waits for and
+// publishes. RetireQueue is the shared limbo-bag drain the epoch engine
+// retires through.
 //
 // Backends self-register from an init function, database/sql style:
 //
 //	func init() {
-//		sync.Register("ebr", func(m *vcpu.Machine, o sync.Options) sync.Backend {
-//			return New(m, Options{AdvanceInterval: o.GPInterval / 2})
+//		sync.Register("hp", func(m *vcpu.Machine, o sync.Options) sync.Backend {
+//			return New(m, Options{AdvanceInterval: o.GPInterval})
 //		})
 //	}
 //
@@ -43,9 +48,6 @@ import (
 // finished. Cookies from one backend are meaningless to another, but
 // within a backend they are monotone: a later Snapshot never returns a
 // smaller cookie, and Elapsed, once true for a cookie, stays true.
-//
-// internal/rcu aliases this type (rcu.Cookie = sync.Cookie), so code
-// written against either name compiles against both.
 type Cookie uint64
 
 // Backend is the full synchronization surface a reclamation scheme
@@ -55,7 +57,7 @@ type Cookie uint64
 // the per-object retirement hook the SLUB baseline's deferred frees go
 // through.
 //
-// Per-CPU calls (ReadLock, QuiescentState, Retire, ...) follow the
+// Per-CPU calls (ReadLock, QuiescentState, RetireObject, ...) follow the
 // repository-wide ownership contract: the caller must own the named
 // virtual CPU for the duration of the call.
 type Backend interface {
@@ -97,15 +99,11 @@ type Backend interface {
 	// completes. The same lost-wakeup tolerance applies: recording the
 	// demand, not the kick, is what the liveness guarantee rests on.
 	ExpediteGP()
-	// WaitElapsedOn blocks until the cookie elapses, treating the
-	// calling CPU as quiescent; returns false if the backend stopped.
-	//
-	//prudence:may_block
-	WaitElapsedOn(cpu int, c Cookie) bool
-	// WaitElapsedOnTimeout is WaitElapsedOn with a deadline: it returns
-	// false if d passes (or the backend stops) before the cookie
-	// elapses. The allocator's OOM-delay path relies on the bounded
-	// return to degrade to an out-of-memory report instead of a hang.
+	// WaitElapsedOnTimeout blocks until the cookie elapses, treating
+	// the calling CPU as quiescent; it returns false if d passes (or the
+	// backend stops) first. The allocator's OOM-delay path relies on the
+	// bounded return to degrade to an out-of-memory report instead of a
+	// hang.
 	//
 	//prudence:may_block
 	WaitElapsedOnTimeout(cpu int, c Cookie, d time.Duration) bool
@@ -122,24 +120,19 @@ type Backend interface {
 	//prudence:may_block
 	SynchronizeOn(cpu int)
 
-	// Retire schedules fn to run on some backend-managed goroutine once
-	// every reader that might hold the retired object has finished. It
-	// is the per-object retirement hook: rcu maps it to an RCU callback,
-	// ebr/nebr to a cookie-stamped limbo entry, hp to a retire-list
-	// entry scanned against published hazards.
-	Retire(cpu int, fn func())
-	// RetireObject is Retire without the closure: the same ordering
-	// contract, but the deferred work is carried as a (Reclaimer, obj,
-	// idx) triple instead of a heap-allocated func value. The steady-
-	// state deferred-free path goes through here so that retiring an
-	// object costs zero allocations per call — the reclamation scheme
-	// must not itself generate the garbage it exists to manage. When
-	// the grace period elapses the backend calls
-	// r.ReclaimRetired(cpu, obj, idx) with the cpu the retirement was
-	// enqueued on.
+	// RetireObject is the per-object retirement hook: once every reader
+	// that might hold the object has finished, the backend calls
+	// r.ReclaimRetired(cpu, obj, idx) on a goroutine it manages, with
+	// the cpu the retirement was enqueued on. rcu maps it to an RCU
+	// callback, ebr/nebr to a cookie-stamped limbo entry, hp to a
+	// retire-list entry scanned against published hazards. The work is
+	// carried as a (Reclaimer, obj, idx) triple rather than a func
+	// value so that retiring costs zero allocations per call — the
+	// reclamation scheme must not itself generate the garbage it exists
+	// to manage.
 	RetireObject(cpu int, r Reclaimer, obj any, idx uint64)
-	// Barrier blocks until every Retire accepted before the call has
-	// run (or the backend stopped).
+	// Barrier blocks until every retirement accepted before the call
+	// has been reclaimed (or the backend stopped).
 	//
 	//prudence:may_block
 	Barrier()
@@ -166,9 +159,9 @@ type Backend interface {
 // the interface word allocates nothing.
 type Reclaimer interface {
 	// ReclaimRetired frees the object identified by (obj, idx). cpu is
-	// the CPU the retirement was enqueued on; as with closures passed
-	// to Retire, the call arrives on a backend-managed goroutine that
-	// is a cross-CPU visitor, not the CPU's owner.
+	// the CPU the retirement was enqueued on; the call arrives on a
+	// backend-managed goroutine that is a cross-CPU visitor, not the
+	// CPU's owner.
 	ReclaimRetired(cpu int, obj any, idx uint64)
 }
 

@@ -4,14 +4,13 @@ import (
 	"testing"
 	"time"
 
+	"prudence/internal/ebr"
 	"prudence/internal/hp"
-	"prudence/internal/nebr"
 	gsync "prudence/internal/sync"
 	"prudence/internal/sync/synctest"
 	"prudence/internal/vcpu"
 
 	// Registered through init side effects; resolved by name below.
-	_ "prudence/internal/ebr"
 	_ "prudence/internal/rcu"
 )
 
@@ -63,8 +62,8 @@ func TestRegisterPanics(t *testing.T) {
 // Every registered scheme passes the shared conformance suite. nebr is
 // constructed directly with its neutralization bound pushed far above
 // the suite's reader-hold windows: neutralizing a deliberately pinned
-// reader is its designed behaviour, and internal/nebr's own tests cover
-// it; here it must behave like plain EBR.
+// reader is its designed behaviour, and internal/ebr's straggler tests
+// cover it; here it must behave like plain EBR.
 func TestConformance(t *testing.T) {
 	const cpus = 4
 	factories := map[string]synctest.Factory{
@@ -80,7 +79,7 @@ func TestConformance(t *testing.T) {
 		"nebr": func(t *testing.T) gsync.Backend {
 			m := vcpu.NewMachine(cpus)
 			t.Cleanup(m.Stop)
-			return nebr.New(m, nebr.Options{
+			return ebr.New(m, ebr.Options{
 				AdvanceInterval: 500 * time.Microsecond,
 				NeutralizeAfter: time.Minute,
 			})

@@ -30,8 +30,17 @@ import (
 	gsync "prudence/internal/sync"
 )
 
+// Func is a Reclaimer that runs the func() carried as a retirement's
+// obj: the test idiom for "run this once its grace period has elapsed"
+// over RetireObject.
+var Func gsync.Reclaimer = funcReclaimer{}
+
+type funcReclaimer struct{}
+
+func (funcReclaimer) ReclaimRetired(_ int, obj any, _ uint64) { obj.(func())() }
+
 // recordingReclaimer captures RetireObject deliveries for the
-// conformance check of the non-closure retirement path.
+// conformance check of the retirement payload.
 type recordingReclaimer struct {
 	mu  stdsync.Mutex
 	got []reclaimed // under mu
@@ -141,8 +150,8 @@ func Run(t *testing.T, cpus int, factory Factory) {
 		}
 		close(release)
 		<-readerDone
-		if !b.WaitElapsedOn(0, c) {
-			t.Fatal("WaitElapsedOn failed after the reader released")
+		if !b.WaitElapsedOnTimeout(0, c, 30*time.Second) {
+			t.Fatal("WaitElapsedOnTimeout failed after the reader released")
 		}
 	})
 
@@ -162,7 +171,7 @@ func Run(t *testing.T, cpus int, factory Factory) {
 		}()
 		<-held
 		freed := make(chan struct{})
-		b.Retire(0, func() { close(freed) })
+		b.RetireObject(0, Func, func() { close(freed) }, 0)
 		select {
 		case <-freed:
 			t.Fatal("retired object reclaimed while a reader was pinned")
@@ -179,9 +188,9 @@ func Run(t *testing.T, cpus int, factory Factory) {
 	})
 
 	t.Run("RetireObjectRuns", func(t *testing.T) {
-		// The non-closure retirement path: payloads survive the trip
-		// through the backend's retire machinery intact and arrive at
-		// the reclaimer after their grace period, covered by Barrier.
+		// Payloads survive the trip through the backend's retire
+		// machinery intact and arrive at the reclaimer after their
+		// grace period, covered by Barrier.
 		b := fresh(t)
 		rec := &recordingReclaimer{}
 		objs := make([]int, 4)

@@ -59,7 +59,6 @@ import (
 	// code selects them by name through Config.Reclamation.
 	_ "prudence/internal/ebr"
 	_ "prudence/internal/hp"
-	_ "prudence/internal/nebr"
 	_ "prudence/internal/rcu"
 )
 

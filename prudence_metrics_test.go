@@ -57,19 +57,43 @@ func parseExposition(t *testing.T, text string) (map[string]float64, map[string]
 	return samples, families
 }
 
+// retireQueueFamilies are the shared retire queue's series, exported by
+// every backend built on it (the epoch engine under either name).
+var retireQueueFamilies = []string{
+	"prudence_sync_retire_backlog",
+	"prudence_sync_retire_backlog_peak",
+	"prudence_sync_retire_batch_size",
+	"prudence_sync_retire_expedited_drains_total",
+}
+
 // System.WriteMetrics reflects a Malloc/FreeDeferred/Drain cycle on
-// both allocators and both reclamation kinds, emits valid exposition
+// both allocators and every reclamation scheme, emits valid exposition
 // text with at least 12 distinct families spanning the allocator, the
 // reclamation engine and the page allocator, and the always-on trace
-// ring records the cycle's slow-path events.
+// ring records the cycle's slow-path events. Each scheme also exports
+// the series that tools scrape by exact name (perfbench, chaostest), so
+// a rename fails here instead of silently reading 0 there.
 func TestSystemMetricsReflectWorkload(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  prudence.Config
+		// families are the scheme's own series that must be present.
+		families []string
 	}{
-		{"prudence-rcu", prudence.Config{CPUs: 2, MemoryPages: 1024}},
-		{"prudence-ebr", prudence.Config{CPUs: 2, MemoryPages: 1024, Reclamation: prudence.EBR}},
-		{"slub-rcu", prudence.Config{CPUs: 2, MemoryPages: 1024, Allocator: prudence.SLUB}},
+		{"prudence-rcu", prudence.Config{CPUs: 2, MemoryPages: 1024},
+			[]string{"prudence_rcu_callback_backlog"}},
+		{"prudence-ebr", prudence.Config{CPUs: 2, MemoryPages: 1024, Reclamation: prudence.EBR},
+			append([]string{"prudence_ebr_epoch"}, retireQueueFamilies...)},
+		{"prudence-nebr", prudence.Config{CPUs: 2, MemoryPages: 1024, Reclamation: prudence.NEBR},
+			append([]string{
+				"prudence_nebr_restarts_total",
+				"prudence_nebr_retire_backlog",
+				"prudence_nebr_neutralizations_total",
+			}, retireQueueFamilies...)},
+		{"prudence-hp", prudence.Config{CPUs: 2, MemoryPages: 1024, Reclamation: prudence.HP},
+			[]string{"prudence_hp_scans_total"}},
+		{"slub-rcu", prudence.Config{CPUs: 2, MemoryPages: 1024, Allocator: prudence.SLUB},
+			[]string{"prudence_rcu_callback_backlog"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -128,18 +152,9 @@ func TestSystemMetricsReflectWorkload(t *testing.T) {
 			if got := samples["prudence_sync_expedited_advances_total"]; got < 1 {
 				t.Errorf("prudence_sync_expedited_advances_total = %v, want >= 1", got)
 			}
-			// Epoch-family backends additionally export the shared retire
-			// queue's backlog/batch gauges.
-			if tc.cfg.Reclamation == prudence.EBR {
-				for _, want := range []string{
-					"prudence_sync_retire_backlog",
-					"prudence_sync_retire_backlog_peak",
-					"prudence_sync_retire_batch_size",
-					"prudence_sync_retire_expedited_drains_total",
-				} {
-					if !families[want] {
-						t.Errorf("family %q missing from exposition", want)
-					}
+			for _, want := range tc.families {
+				if !families[want] {
+					t.Errorf("family %q missing from exposition", want)
 				}
 			}
 			info := fmt.Sprintf(`prudence_allocator_info{allocator=%q}`, sys.AllocatorName())
