@@ -19,7 +19,7 @@ func debugDump(c *Cache) string {
 		c.latentTotal.Load(), c.base.Ctr.CurrentSlabs(), c.base.Requested())
 	for i, cl := range c.percpu {
 		cl.objs.LockRemote()
-		out += fmt.Sprintf("  cpu%d objs=%d latent=%d armed=%v\n", i, cl.objs.Len(), len(cl.latent), cl.preflushArmed)
+		out += fmt.Sprintf("  cpu%d objs=%d latent=%d armed=%v\n", i, cl.objs.Len(), cl.latent.len(), cl.preflushArmed)
 		cl.objs.Unlock()
 	}
 	for _, n := range c.base.NodesArr {

@@ -239,8 +239,12 @@ func (c *CPU) idleLoop(wg *sync.WaitGroup, stop chan struct{}) {
 				c.idleMu.Unlock()
 				break
 			}
+			// Shift rather than reslice, so the queue's backing array
+			// is reused and ScheduleIdle stops allocating once warm.
 			fn := c.idleQueue[0]
-			c.idleQueue = c.idleQueue[1:]
+			n := copy(c.idleQueue, c.idleQueue[1:])
+			c.idleQueue[n] = nil
+			c.idleQueue = c.idleQueue[:n]
 			c.idleMu.Unlock()
 
 			c.idleActive.Store(true)
