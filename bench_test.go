@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"prudence/internal/bench"
-	"prudence/internal/core"
 	"prudence/internal/rcutree"
 	"prudence/internal/slabcore"
 	"prudence/internal/vcpu"
@@ -186,26 +185,10 @@ func BenchmarkDoS(b *testing.B) {
 // Prudence's optimizations disabled in turn (DESIGN.md's design-choice
 // ablations).
 func BenchmarkAblation(b *testing.B) {
-	variants := []struct {
-		name string
-		opts core.Options
-	}{
-		{"full", core.Options{}},
-		{"no-partial-refill", core.Options{DisablePartialRefill: true}},
-		{"no-pre-flush", core.Options{DisablePreFlush: true}},
-		{"no-pre-move", core.Options{DisablePreMove: true}},
-		{"no-slab-selection", core.Options{DisableSlabSelection: true}},
-		{"all-disabled", core.Options{
-			DisablePartialRefill: true,
-			DisablePreFlush:      true,
-			DisablePreMove:       true,
-			DisableSlabSelection: true,
-		}},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
+	for _, v := range bench.Variants {
+		b.Run(v.Name, func(b *testing.B) {
 			cfg := benchConfig()
-			cfg.Prudence = v.opts
+			cfg.Prudence = v.Options
 			s := bench.NewStack(bench.KindPrudence, cfg)
 			defer s.Close()
 			cache := s.Alloc.NewCache(slabcore.DefaultConfig("kmalloc-512", 512, cfg.CPUs))

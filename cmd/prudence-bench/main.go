@@ -1,7 +1,10 @@
-// Command prudence-bench regenerates the paper's evaluation: every
-// figure (3, 6, 7, 8, 9, 10, 11, 12, 13), the §3.3 allocation path cost
-// table, the §3.4 denial-of-service comparison, and the ablation study
-// over Prudence's individual optimizations.
+// Command prudence-bench regenerates the paper's evaluation: Figure 3,
+// Figure 6, Figures 7-13 (all seven tables from one application run),
+// the §3.3 allocation path cost table and the §3.4 denial-of-service
+// comparison, plus the studies built on the Figure 6 loop: CPU scaling,
+// grace-period sensitivity, the ablation over Prudence's individual
+// optimizations, the reclamation-scheme matrix and the arena-backend
+// comparison.
 //
 // Usage:
 //
@@ -14,9 +17,13 @@
 //	prudence-bench -exp fig6 -arena mmap           # off-heap arena everywhere
 //	prudence-bench -exp arenacmp -json out.json    # heap vs mmap, with GC metrics
 //	prudence-bench -exp fig6 -cpuprofile cpu.pb.gz -mutexprofile mtx.pb.gz
+//
+// -json writes the records of every experiment run; trace prints an
+// event timeline and records nothing.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -26,45 +33,136 @@ import (
 	"time"
 
 	"prudence/internal/bench"
+	"prudence/internal/memarena"
 	"prudence/internal/slabcore"
 	"prudence/internal/trace"
 	"prudence/internal/workload"
 )
 
+// options is the parsed command line every runner reads.
+type options struct {
+	cfg             bench.Config
+	pagesSet        bool // -pages was given
+	pairs, size     int
+	txns, repeats   int
+	dosMs           int
+	schemes, arenas []string
+	failOnOOM       bool
+}
+
+// experiment is one -exp name and its runner.
+type experiment struct {
+	name string
+	// sweep is the preset behind a sweep experiment; nil otherwise.
+	sweep *bench.Sweep
+	run   func() ([]bench.Record, error)
+}
+
+// experiments is the -exp registry, in "-exp all" order.
+func experiments(o options) ([]experiment, error) {
+	scaling, err := bench.Scaling(o.size, o.cfg.CPUs)
+	if err != nil {
+		return nil, err
+	}
+	return []experiment{
+		o.sweep(bench.Fig6(), o.pairs),
+		o.sweep(scaling, o.pairs),
+		o.sweep(bench.Matrix(o.size, o.schemes), o.pairs),
+		o.sweep(bench.ArenaCompare(o.size, o.arenas, o.schemes), o.pairs),
+		{name: "fig3", run: func() ([]bench.Record, error) {
+			// An arena small enough that the baseline's growing
+			// callback backlog exhausts it well within the update
+			// budget (the Figure 3 OOM).
+			return report(bench.RunFig3(o.smallArena(2048), bench.DefaultFig3Config()))
+		}},
+		{name: "apps", run: func() ([]bench.Record, error) {
+			return report(bench.RunAppsMedian(o.cfg, o.txns, o.repeats))
+		}},
+		{name: "cost", run: func() ([]bench.Record, error) { return report(bench.RunCostTable(o.cfg)) }},
+		{name: "dos", run: func() ([]bench.Record, error) {
+			// 4 MiB: the flood must be able to win against SLUB.
+			return report(bench.RunDoS(o.smallArena(1024), time.Duration(o.dosMs)*time.Millisecond))
+		}},
+		o.sweep(bench.Ablation(), o.pairs),
+		o.sweep(bench.GPSweep(), max(1, o.pairs/2)),
+		{name: "trace", run: o.trace},
+		{name: "server", run: func() ([]bench.Record, error) { return report(bench.RunServer(o.cfg)) }},
+	}, nil
+}
+
+// selectExperiments resolves -exp: "all" or one registered name.
+func selectExperiments(exps []experiment, name string) ([]experiment, error) {
+	if name == "all" {
+		return exps, nil
+	}
+	var names []string
+	for _, e := range exps {
+		if e.name == name {
+			return []experiment{e}, nil
+		}
+		names = append(names, e.name)
+	}
+	return nil, fmt.Errorf("unknown experiment %q; choose from %s all", name, strings.Join(names, " "))
+}
+
 func main() {
-	var (
-		exp     = flag.String("exp", "all", "experiment: fig3|fig6|scaling|matrix|arenacmp|apps|fig7|fig8|fig9|fig10|fig11|fig12|fig13|cost|dos|ablation|gpsweep|trace|server|all")
-		cpus    = flag.Int("cpus", 8, "virtual CPUs")
-		pages   = flag.Int("pages", 16384, "arena size in 4 KiB pages")
-		pairs   = flag.Int("pairs", 20000, "micro-benchmark pairs per CPU (fig6, scaling, ablation)")
-		size    = flag.Int("size", 512, "object size in bytes for the scaling sweep")
-		txns    = flag.Int("txns", 1500, "application transactions per CPU (figs 7-13)")
-		repeats = flag.Int("repeats", 3, "application comparison repeats; figure 13 reports medians")
-		dosMs   = flag.Int("dos-ms", 1500, "DoS attack duration in milliseconds")
-		metrics = flag.Bool("metrics", false, "dump each stack's Prometheus metrics on teardown")
-		schemes = flag.String("schemes", "", "comma-separated reclamation schemes for the matrix (empty = all registered)")
-		arena   = flag.String("arena", "", "arena memory backend behind every experiment: heap|mmap (empty = heap, or $PRUDENCE_ARENA)")
-		arenas  = flag.String("arenas", "", "comma-separated arena backends for the arenacmp sweep (empty = all available)")
-
-		failOnOOM = flag.Bool("fail-on-oom", false, "exit 1 if any matrix cell reports an out-of-memory (CI guard for the endurance OOM class)")
-
-		jsonPath   = flag.String("json", "", "write machine-readable results (JSON records) to this file")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		mutexProf  = flag.String("mutexprofile", "", "write a mutex-contention profile to this file")
-		blockProf  = flag.String("blockprofile", "", "write a blocking profile to this file")
-	)
+	o := options{cfg: bench.DefaultConfig()}
+	var exp, jsonPath, cpuProfile, mutexProf, blockProf string
+	var metrics bool
+	flag.StringVar(&exp, "exp", "all", "experiment: fig3|fig6|scaling|matrix|arenacmp|apps|cost|dos|ablation|gpsweep|trace|server|all")
+	flag.IntVar(&o.cfg.CPUs, "cpus", 8, "virtual CPUs")
+	flag.IntVar(&o.cfg.ArenaPages, "pages", 16384, "arena size in 4 KiB pages (fig3 and dos default to a smaller arena)")
+	flag.IntVar(&o.pairs, "pairs", 20000, "operations per CPU in each sweep cell (gpsweep runs half)")
+	flag.IntVar(&o.size, "size", 512, "object size in bytes for scaling, matrix and arenacmp")
+	flag.IntVar(&o.txns, "txns", 1500, "application transactions per CPU (figs 7-13)")
+	flag.IntVar(&o.repeats, "repeats", 3, "application comparison repeats; figure 13 reports medians")
+	flag.IntVar(&o.dosMs, "dos-ms", 1500, "DoS attack duration in milliseconds")
+	flag.BoolVar(&metrics, "metrics", false, "dump each stack's Prometheus metrics on teardown")
+	flag.Func("schemes", "comma-separated reclamation schemes for matrix and arenacmp (default all registered for matrix, rcu for arenacmp)",
+		func(s string) error { o.schemes = splitList(s); return nil })
+	// An empty -arena falls through to $PRUDENCE_ARENA in NewStack.
+	flag.StringVar(&o.cfg.Arena, "arena", "", "arena memory backend behind every experiment: heap|mmap (empty = heap, or $PRUDENCE_ARENA)")
+	flag.Func("arenas", "comma-separated arena backends for the arenacmp sweep (default all available)",
+		func(s string) error { o.arenas = splitList(s); return nil })
+	flag.BoolVar(&o.failOnOOM, "fail-on-oom", false, "exit 1 if any sweep cell reports an out-of-memory (CI guard for the endurance OOM class)")
+	flag.StringVar(&jsonPath, "json", "", "write machine-readable results (JSON records) to this file")
+	flag.StringVar(&cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	flag.StringVar(&mutexProf, "mutexprofile", "", "write a mutex-contention profile to this file")
+	flag.StringVar(&blockProf, "blockprofile", "", "write a blocking profile to this file")
 	flag.Parse()
-
-	cfg := bench.DefaultConfig()
-	cfg.CPUs = *cpus
-	cfg.ArenaPages = *pages
-	cfg.Arena = *arena // empty falls through to $PRUDENCE_ARENA in NewStack
-	if *metrics {
-		cfg.MetricsTo = os.Stdout
+	flag.Visit(func(f *flag.Flag) { o.pagesSet = o.pagesSet || f.Name == "pages" })
+	if metrics {
+		o.cfg.MetricsTo = os.Stdout
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	usageError := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "prudence-bench: "+format+"\n", args...)
+		flag.Usage()
+		os.Exit(2)
+	}
+	for _, f := range []struct {
+		name  string
+		value int
+	}{{"cpus", o.cfg.CPUs}, {"pages", o.cfg.ArenaPages}, {"pairs", o.pairs}, {"size", o.size}, {"txns", o.txns}, {"repeats", o.repeats}, {"dos-ms", o.dosMs}} {
+		if f.value <= 0 {
+			usageError("-%s must be positive, got %d", f.name, f.value)
+		}
+	}
+	if o.cfg.Arena != "" && !memarena.BackendAvailable(o.cfg.Arena) {
+		usageError("unknown -arena %q (available: %v)", o.cfg.Arena, memarena.Backends())
+	}
+
+	exps, err := experiments(o)
+	if err != nil {
+		usageError("%v", err)
+	}
+	selected, err := selectExperiments(exps, exp)
+	if err != nil {
+		usageError("%v", err)
+	}
+
+	if cpuProfile != "" {
+		f, err := os.Create(cpuProfile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
 			os.Exit(1)
@@ -78,251 +176,113 @@ func main() {
 			f.Close()
 		}()
 	}
-	if *mutexProf != "" {
+	if mutexProf != "" {
 		runtime.SetMutexProfileFraction(1)
-		defer writeProfile("mutex", *mutexProf)
+		defer writeProfile("mutex", mutexProf)
 	}
-	if *blockProf != "" {
+	if blockProf != "" {
 		runtime.SetBlockProfileRate(1)
-		defer writeProfile("block", *blockProf)
+		defer writeProfile("block", blockProf)
 	}
 
-	var records []bench.Record
-	defer func() {
-		if *jsonPath == "" {
-			return
+	records := []bench.Record{}
+	for _, e := range selected {
+		start := time.Now()
+		recs, err := e.run()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
+			os.Exit(1)
 		}
-		f, err := os.Create(*jsonPath)
+		records = append(records, recs...)
+		fmt.Printf("[%s completed in %v]\n\n", e.name, time.Since(start).Truncate(time.Millisecond))
+	}
+	if jsonPath != "" {
+		var buf bytes.Buffer
+		err := bench.WriteRecords(&buf, records)
+		if err == nil {
+			err = os.WriteFile(jsonPath, buf.Bytes(), 0o644)
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "json: %v\n", err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		if err := bench.WriteRecords(f, records); err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			os.Exit(1)
-		}
-	}()
+	}
+}
 
-	run := func(name string, fn func() error) {
-		start := time.Now()
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
-		}
-		fmt.Printf("[%s completed in %v]\n\n", name, time.Since(start).Truncate(time.Millisecond))
-	}
+// result is what every runner but trace returns.
+type result interface {
+	Table() string
+	Records() []bench.Record
+}
 
-	want := func(names ...string) bool {
-		if *exp == "all" {
-			return true
-		}
-		for _, n := range names {
-			if *exp == n {
-				return true
-			}
-		}
-		return false
+// report prints a runner's table and returns its records.
+func report(res result, err error) ([]bench.Record, error) {
+	if err != nil {
+		return nil, err
 	}
+	fmt.Println(res.Table())
+	return res.Records(), nil
+}
 
-	if want("fig6") {
-		run("fig6", func() error {
-			res, err := bench.RunFig6(cfg, *pairs)
-			if err != nil {
-				return err
+// sweep wraps a preset as an experiment that, with -fail-on-oom, fails
+// on any out-of-memory cell.
+func (o options) sweep(sw bench.Sweep, opsPerCPU int) experiment {
+	return experiment{name: sw.Name, sweep: &sw, run: func() ([]bench.Record, error) {
+		res, err := bench.RunSweep(o.cfg, sw, opsPerCPU)
+		recs, err := report(res, err)
+		if err != nil || !o.failOnOOM {
+			return recs, err
+		}
+		for _, c := range res.Cells {
+			if c.OOM {
+				return nil, fmt.Errorf("cell %s reported oom=1", c.Labels())
 			}
-			fmt.Println(res.Table())
-			records = append(records, res.Records()...)
-			return nil
-		})
+		}
+		return recs, nil
+	}}
+}
+
+// smallArena returns the config with the arena cut to pages unless
+// -pages was given: fig3 and dos need an arena the baseline can fill.
+func (o options) smallArena(pages int) bench.Config {
+	c := o.cfg
+	if !o.pagesSet {
+		c.ArenaPages = pages
 	}
-	if want("scaling") {
-		run("scaling", func() error {
-			res, err := bench.RunScaling(cfg, *size, *pairs, nil)
-			if err != nil {
-				return err
+	return c
+}
+
+// trace runs a short 512 B deferred-free burst on each allocator with
+// an event ring attached: the timeline makes the "hints about the
+// future" machinery visible (refills sized by the latent backlog,
+// batched pre-flushes, grace-period waits). It records nothing.
+func (o options) trace() ([]bench.Record, error) {
+	for _, kind := range []bench.Kind{bench.KindSLUB, bench.KindPrudence} {
+		s := bench.NewStack(kind, o.cfg)
+		cache := s.Alloc.NewCache(slabcore.DefaultConfig("kmalloc-512", 512, o.cfg.CPUs))
+		ring := trace.NewRing(4096)
+		type tracer interface{ SetTrace(*trace.Ring) }
+		cache.(tracer).SetTrace(ring)
+		workload.RunMicro(s.Env(), cache, 4000)
+		fmt.Printf("--- %s event counts over a 512 B micro burst ---\n", kind)
+		counts := ring.CountByKind()
+		for k := trace.KindMalloc; k <= trace.KindOOM; k++ {
+			if counts[k] > 0 {
+				fmt.Printf("  %-9s %d\n", k, counts[k])
 			}
-			fmt.Println(res.Table())
-			records = append(records, res.Records()...)
-			return nil
-		})
+		}
+		fmt.Printf("last events:\n  %s\n", strings.ReplaceAll(strings.TrimRight(ring.Dump(12), "\n"), "\n", "\n  "))
+		cache.Drain()
+		s.Close()
 	}
-	if want("matrix") {
-		run("matrix", func() error {
-			var list []string
-			if *schemes != "" {
-				list = strings.Split(*schemes, ",")
-			}
-			res, err := bench.RunMatrix(cfg, *size, *pairs, list, nil)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Table())
-			records = append(records, res.Records()...)
-			if *failOnOOM {
-				for _, c := range res.Cells {
-					if c.OOM {
-						return fmt.Errorf("cell scheme=%s alloc=%s workload=%s reported oom=1", c.Scheme, c.Kind, c.Workload)
-					}
-				}
-			}
-			return nil
-		})
+	return nil, nil
+}
+
+func splitList(s string) []string {
+	if s == "" {
+		return nil
 	}
-	if want("arenacmp") {
-		run("arenacmp", func() error {
-			var arenaList, schemeList []string
-			if *arenas != "" {
-				arenaList = strings.Split(*arenas, ",")
-			}
-			if *schemes != "" {
-				schemeList = strings.Split(*schemes, ",")
-			}
-			res, err := bench.RunArenaCompare(cfg, *size, *pairs, arenaList, schemeList, nil)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Table())
-			records = append(records, res.Records()...)
-			if *failOnOOM {
-				for _, c := range res.Cells {
-					if c.OOM {
-						return fmt.Errorf("cell arena=%s scheme=%s alloc=%s workload=%s reported oom=1", c.Arena, c.Scheme, c.Kind, c.Workload)
-					}
-				}
-			}
-			return nil
-		})
-	}
-	if want("fig3") {
-		run("fig3", func() error {
-			c := cfg
-			if *pages == 16384 {
-				// Endurance default: an arena small enough that the
-				// baseline's growing callback backlog exhausts it well
-				// within the update budget (the Figure 3 OOM).
-				c.ArenaPages = 2048 // 8 MiB
-			}
-			res, err := bench.RunFig3(c, bench.DefaultFig3Config())
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Table())
-			return nil
-		})
-	}
-	appsWanted := want("apps", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13")
-	if appsWanted {
-		run("apps (figs 7-13)", func() error {
-			res, err := bench.RunAppsMedian(cfg, *txns, *repeats)
-			if err != nil {
-				return err
-			}
-			tables := map[string]string{
-				"fig7":  res.Fig7Table(),
-				"fig8":  res.Fig8Table(),
-				"fig9":  res.Fig9Table(),
-				"fig10": res.Fig10Table(),
-				"fig11": res.Fig11Table(),
-				"fig12": res.Fig12Table(),
-				"fig13": res.Fig13Table(),
-			}
-			order := []string{"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13"}
-			for _, name := range order {
-				if *exp == "all" || *exp == "apps" || *exp == name {
-					fmt.Println(tables[name])
-				}
-			}
-			return nil
-		})
-	}
-	if want("cost") {
-		run("cost", func() error {
-			res, err := bench.RunCostTable(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Table())
-			return nil
-		})
-	}
-	if want("dos") {
-		run("dos", func() error {
-			c := cfg
-			if *pages == 16384 {
-				c.ArenaPages = 1024 // 4 MiB: the flood must be able to win against SLUB
-			}
-			res, err := bench.RunDoS(c, time.Duration(*dosMs)*time.Millisecond)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Table())
-			return nil
-		})
-	}
-	if want("ablation") {
-		run("ablation", func() error {
-			res, err := bench.RunAblation(cfg, *pairs)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Table())
-			return nil
-		})
-	}
-	if want("gpsweep") {
-		run("gpsweep", func() error {
-			res, err := bench.RunGPSweep(cfg, *pairs/2)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Table())
-			return nil
-		})
-	}
-	if want("trace") {
-		run("trace", func() error {
-			// A short 512 B deferred-free burst on each allocator with an
-			// event ring attached: the timeline makes the "hints about
-			// the future" machinery visible (refills sized by the latent
-			// backlog, batched pre-flushes, grace-period waits).
-			for _, kind := range []bench.Kind{bench.KindSLUB, bench.KindPrudence} {
-				s := bench.NewStack(kind, cfg)
-				cache := s.Alloc.NewCache(slabcore.DefaultConfig("kmalloc-512", 512, cfg.CPUs))
-				ring := trace.NewRing(4096)
-				type tracer interface{ SetTrace(*trace.Ring) }
-				cache.(tracer).SetTrace(ring)
-				workload.RunMicro(s.Env(), cache, 4000)
-				fmt.Printf("--- %s event counts over a 512 B micro burst ---\n", kind)
-				counts := ring.CountByKind()
-				for k := trace.KindMalloc; k <= trace.KindOOM; k++ {
-					if counts[k] > 0 {
-						fmt.Printf("  %-9s %d\n", k, counts[k])
-					}
-				}
-				fmt.Printf("last events:\n%s\n", indent(ring.Dump(12)))
-				cache.Drain()
-				s.Close()
-			}
-			return nil
-		})
-	}
-	if want("server") {
-		run("server", func() error {
-			sc := bench.ServerConfig{CPUs: *cpus, Pages: *pages, Arena: *arena}
-			res, err := bench.RunServer(sc)
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.Table())
-			records = append(records, res.Records()...)
-			return nil
-		})
-	}
-	if !want("fig6") && !want("scaling") && !want("matrix") && !want("arenacmp") && !want("fig3") && !appsWanted && !want("cost") && !want("dos") && !want("ablation") && !want("gpsweep") && !want("trace") && !want("server") {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; choose from fig3 fig6 scaling matrix arenacmp apps fig7..fig13 cost dos ablation gpsweep trace server all\n", *exp)
-		os.Exit(2)
-	}
+	return strings.Split(s, ",")
 }
 
 // writeProfile dumps a named runtime profile, for -mutexprofile and
@@ -337,12 +297,4 @@ func writeProfile(name, path string) {
 	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
 		fmt.Fprintf(os.Stderr, "%sprofile: %v\n", name, err)
 	}
-}
-
-func indent(s string) string {
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	for i := range lines {
-		lines[i] = "  " + lines[i]
-	}
-	return strings.Join(lines, "\n")
 }

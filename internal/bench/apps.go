@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"prudence/internal/stats"
@@ -89,6 +90,21 @@ func RunAppsMedian(cfg Config, txnsPerCPU, repeats int) (AppsResult, error) {
 	return last, nil
 }
 
+// Records flattens the Figure 13 throughputs for -json.
+func (r AppsResult) Records() []Record {
+	var out []Record
+	for _, cmp := range r.Comparisons {
+		metric := func(kind Kind) string {
+			return fmt.Sprintf("txn_per_sec{profile=%s,alloc=%s}", cmp.Profile.Name, kind)
+		}
+		out = append(out,
+			Record{Exp: "apps", Metric: metric(KindSLUB), Value: cmp.SLUB.TxnPerSec(), Unit: "txn/s"},
+			Record{Exp: "apps", Metric: metric(KindPrudence), Value: cmp.Prudence.TxnPerSec(), Unit: "txn/s"},
+		)
+	}
+	return out
+}
+
 // cacheNames returns the sorted cache names present in a comparison.
 func (c AppComparison) cacheNames() []string {
 	names := make([]string, 0, len(c.SLUB.PerCache))
@@ -120,6 +136,12 @@ func (r AppsResult) perCacheTable(title, unit string, metric func(workload.Cache
 		direction = "higher is better"
 	}
 	return title + " (" + direction + ")\n" + t.String()
+}
+
+// Table renders Figures 7-13.
+func (r AppsResult) Table() string {
+	return strings.Join([]string{r.Fig7Table(), r.Fig8Table(), r.Fig9Table(),
+		r.Fig10Table(), r.Fig11Table(), r.Fig12Table(), r.Fig13Table()}, "\n")
 }
 
 // Fig7Table reports the object cache hit rate per benchmark and cache.

@@ -1,9 +1,13 @@
-// Package bench is the experiment harness: one runner per table/figure
-// of the paper's evaluation (§3.5 and §5), each building identical
-// simulated machines for the SLUB baseline and Prudence, running the
-// matching workload from internal/workload, and reporting paper-style
-// rows/series. cmd/prudence-bench and the repository's bench_test.go are
-// thin wrappers over these runners.
+// Package bench is the experiment harness for the paper's evaluation
+// (§3.5 and §5): it builds identical simulated machines for the SLUB
+// baseline and Prudence, runs the matching workload from
+// internal/workload, and reports paper-style tables and JSON records.
+// Every experiment built on the Figure 6 loop or the endurance list
+// storm (Figure 6, scaling, grace-period sweep, ablation, scheme
+// matrix, arena comparison) is a Sweep preset run by one cell runner;
+// Figure 3, Figures 7-13, the §3.3 cost table, the §3.4 DoS flood and
+// the server sweep keep their own runners. cmd/prudence-bench and the
+// repository's bench_test.go are thin wrappers over these.
 //
 // Absolute numbers differ from the paper (user-space simulation vs a
 // 64-thread Xeon kernel); the reproduced quantity is the *shape*: who
@@ -206,22 +210,4 @@ func (s *Stack) Close() {
 	s.Sync.Stop()
 	s.Machine.Stop()
 	s.Arena.Close()
-}
-
-// both runs fn against a fresh stack of each kind and returns the
-// results keyed by kind.
-func both(cfg Config, fn func(s *Stack) error) (map[Kind]*Stack, error) {
-	out := map[Kind]*Stack{}
-	for _, kind := range []Kind{KindSLUB, KindPrudence} {
-		s := NewStack(kind, cfg)
-		if err := fn(s); err != nil {
-			s.Close()
-			for _, other := range out {
-				other.Close()
-			}
-			return nil, fmt.Errorf("%s: %w", kind, err)
-		}
-		out[kind] = s
-	}
-	return out, nil
 }

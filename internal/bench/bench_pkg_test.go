@@ -45,28 +45,29 @@ func TestRunFig6ShapeHolds(t *testing.T) {
 	// a failing sweep gets one retry before it counts.
 	var lastMsg string
 	for attempt := 0; attempt < 2; attempt++ {
-		res, err := RunFig6(cfg, 8000)
+		res, err := RunSweep(cfg, Fig6(), 8000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Rows) != len(Fig6Sizes) {
-			t.Fatalf("%d rows, want %d", len(res.Rows), len(Fig6Sizes))
+		if len(res.Cells) != 2*len(Fig6Sizes) {
+			t.Fatalf("%d cells, want a slub and a prudence cell for each of %d sizes", len(res.Cells), len(Fig6Sizes))
 		}
 		if !strings.Contains(res.Table(), "Figure 6") {
 			t.Fatal("table missing title")
 		}
-		var slubAll, pruAll, slubBig, pruBig float64
-		for _, row := range res.Rows {
-			if row.SLUBPairs <= 0 || row.PrudencePairs <= 0 {
-				t.Fatalf("zero rate in row %+v", row)
+		rates := map[Kind]float64{}
+		bigRates := map[Kind]float64{}
+		for _, c := range res.Cells {
+			if c.OpsPerSec <= 0 {
+				t.Fatalf("zero rate in cell %+v", c)
 			}
-			slubAll += row.SLUBPairs
-			pruAll += row.PrudencePairs
-			if row.Size >= 1024 {
-				slubBig += row.SLUBPairs
-				pruBig += row.PrudencePairs
+			rates[c.Kind] += c.OpsPerSec
+			if c.Size >= 1024 {
+				bigRates[c.Kind] += c.OpsPerSec
 			}
 		}
+		slubAll, pruAll := rates[KindSLUB], rates[KindPrudence]
+		slubBig, pruBig := bigRates[KindSLUB], bigRates[KindPrudence]
 		switch {
 		case pruAll <= slubAll:
 			lastMsg = fmt.Sprintf("Prudence behind overall (%.0f vs %.0f):\n%s", pruAll, slubAll, res.Table())
@@ -181,15 +182,15 @@ func TestRunAblationSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full comparison run")
 	}
-	res, err := RunAblation(smallConfig(), 2000)
+	res, err := RunSweep(smallConfig(), Ablation(), 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 7 {
-		t.Fatalf("%d ablation rows, want 7", len(res.Rows))
+	if len(res.Cells) != 7 {
+		t.Fatalf("%d ablation cells, want 7", len(res.Cells))
 	}
-	if res.Rows[0].Variant != "full" || res.Rows[0].VsFull != 1 {
-		t.Fatalf("first row should be the full design: %+v", res.Rows[0])
+	if res.Cells[0].Variant != "full" || res.Cells[0].Speedup != 1 {
+		t.Fatalf("first cell should be the full design: %+v", res.Cells[0])
 	}
 }
 
@@ -198,25 +199,31 @@ func TestRunGPSweepShape(t *testing.T) {
 		t.Skip("full comparison run")
 	}
 	cfg := smallConfig()
-	res, err := RunGPSweep(cfg, 2000)
+	res, err := RunSweep(cfg, GPSweep(), 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != len(GPSweepIntervals) {
-		t.Fatalf("%d rows", len(res.Rows))
+	if len(res.Cells) != 2*len(GPSweepIntervals) {
+		t.Fatalf("%d cells", len(res.Cells))
 	}
 	// Memory footprints grow with the grace-period interval for both
 	// allocators (more in-flight deferred objects per GP).
-	first, last := res.Rows[0], res.Rows[len(res.Rows)-1]
-	if last.PrudPeakKiB < first.PrudPeakKiB {
-		t.Errorf("Prudence peak shrank with longer GPs: %v", res.Rows)
+	var prudence []Cell
+	for _, c := range res.Cells {
+		if c.Kind == KindPrudence {
+			prudence = append(prudence, c)
+		}
+	}
+	first, last := prudence[0], prudence[len(prudence)-1]
+	if last.PeakPages < first.PeakPages {
+		t.Errorf("Prudence peak shrank with longer GPs:\n%s", res.Table())
 	}
 	if !strings.Contains(res.Table(), "Grace-period") {
 		t.Error("table title missing")
 	}
-	for _, row := range res.Rows {
-		if row.SLUBPairs <= 0 || row.PrudencePairs <= 0 {
-			t.Fatalf("zero rate: %+v", row)
+	for _, c := range res.Cells {
+		if c.OpsPerSec <= 0 {
+			t.Fatalf("zero rate: %+v", c)
 		}
 	}
 }

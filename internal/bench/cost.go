@@ -141,3 +141,11 @@ func (c CostResult) Table() string {
 	t.AddRow("slab cache grow", c.Grow.String(), fmt.Sprintf("%.1fx", c.GrowFactor()), "14x")
 	return "§3.3 allocation path costs\n" + t.String()
 }
+
+// Records flattens the table for -json.
+func (c CostResult) Records() []Record {
+	rec := func(path string, d time.Duration) Record {
+		return Record{Exp: "cost", Metric: "alloc_path_ns{path=" + path + "}", Value: float64(d.Nanoseconds()), Unit: "ns"}
+	}
+	return []Record{rec("hit", c.Hit), rec("refill", c.Refill), rec("grow", c.Grow)}
+}

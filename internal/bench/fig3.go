@@ -82,20 +82,8 @@ func RunFig3(cfg Config, f3 Fig3Config) (Fig3Result, error) {
 		}
 		// The endurance point requires the baseline's processing rate to
 		// be bounded below the defer rate even when expedited ("Despite
-		// this, RCU fails to keep up", §3.5). Scale the kernel's
-		// blimit-style throttle accordingly.
-		c.RCU.ThrottleDelay = 200 * time.Microsecond
-		if c.RCU.ExpeditedDelay == 0 {
-			c.RCU.ExpeditedDelay = c.RCU.ThrottleDelay
-		}
-		if c.RCU.ExpeditedBlimit == 0 || c.RCU.ExpeditedBlimit > 2*c.RCU.Blimit {
-			c.RCU.ExpeditedBlimit = 2 * c.RCU.Blimit
-		}
-		// Model deployed throttling: keep batch limits in force even
-		// when the backlog is huge, as the paper's kernel (which still
-		// failed to keep up despite expediting) effectively behaves at
-		// sustained defer rates.
-		c.RCU.Qhimark = -1
+		// this, RCU fails to keep up", §3.5).
+		c = throttled(c, 2)
 		s := NewStack(kind, c)
 		cache := s.Alloc.NewCache(slabcore.DefaultConfig("list-512", f3.ObjectSize, c.CPUs))
 
@@ -166,6 +154,23 @@ func (r Fig3Result) Table() string {
 	row("slub", r.SLUB)
 	row("prudence", r.Prudence)
 	return "Figure 3: endurance under per-CPU list-update storm (512 B objects)\n" + t.String()
+}
+
+// Records flattens the comparison for -json.
+func (r Fig3Result) Records() []Record {
+	var out []Record
+	side := func(kind Kind, s *Fig3Side) {
+		q := "{alloc=" + string(kind) + "}"
+		out = append(out,
+			Record{Exp: "fig3", Metric: "oom" + q, Value: b2f(s.Result.OOM), Unit: "bool"},
+			Record{Exp: "fig3", Metric: "peak_bytes" + q, Value: float64(s.PeakBytes), Unit: "bytes"},
+			Record{Exp: "fig3", Metric: "gps_completed" + q, Value: float64(s.GPs), Unit: "count"},
+			Record{Exp: "fig3", Metric: "max_cb_backlog" + q, Value: float64(s.CBBacklog), Unit: "count"},
+		)
+	}
+	side(KindSLUB, r.SLUB)
+	side(KindPrudence, r.Prudence)
+	return out
 }
 
 // CSV renders both used-memory series as "ms,slub_bytes,prudence_bytes"

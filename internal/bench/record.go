@@ -2,15 +2,14 @@ package bench
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
 // Record is one machine-readable measurement: experiment name, metric
-// name (including any qualifiers like allocator or CPU count), value
-// and unit. cmd/prudence-bench's -json flag emits a list of these so
-// the performance trajectory of the repository can be tracked across
-// PRs (BENCH_PR2.json holds the first baseline-vs-after pair).
+// name (qualified by labels such as {alloc=slub,size=512}), value and
+// unit. cmd/prudence-bench's -json flag emits a list of these for every
+// experiment it runs, so the performance trajectory of the repository
+// can be tracked across changes.
 type Record struct {
 	Exp    string  `json:"exp"`
 	Metric string  `json:"metric"`
@@ -23,29 +22,4 @@ func WriteRecords(w io.Writer, records []Record) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(records)
-}
-
-// Records flattens the scaling sweep.
-func (r ScalingResult) Records() []Record {
-	var out []Record
-	for _, p := range r.Points {
-		out = append(out,
-			Record{Exp: "scaling", Metric: fmt.Sprintf("slub_pairs_per_sec{cpus=%d,size=%d}", p.CPUs, r.Size), Value: p.SLUBPairs, Unit: "pairs/s"},
-			Record{Exp: "scaling", Metric: fmt.Sprintf("prudence_pairs_per_sec{cpus=%d,size=%d}", p.CPUs, r.Size), Value: p.PrudencePairs, Unit: "pairs/s"},
-		)
-	}
-	return out
-}
-
-// Records flattens the Figure 6 sweep.
-func (r Fig6Result) Records() []Record {
-	var out []Record
-	for _, row := range r.Rows {
-		out = append(out,
-			Record{Exp: "fig6", Metric: fmt.Sprintf("slub_pairs_per_sec{size=%d}", row.Size), Value: row.SLUBPairs, Unit: "pairs/s"},
-			Record{Exp: "fig6", Metric: fmt.Sprintf("prudence_pairs_per_sec{size=%d}", row.Size), Value: row.PrudencePairs, Unit: "pairs/s"},
-			Record{Exp: "fig6", Metric: fmt.Sprintf("speedup{size=%d}", row.Size), Value: row.Speedup, Unit: "ratio"},
-		)
-	}
-	return out
 }

@@ -9,59 +9,6 @@ import (
 	"prudence/internal/stats"
 )
 
-// ServerConfig parameterizes the long-running-service experiment: the
-// cmd/prudence-server session-cache workload driven by its load
-// generator, swept across allocator x reclamation-scheme combinations
-// so the facade stack is compared under the same churn the standalone
-// binary serves.
-type ServerConfig struct {
-	// CPUs and Pages size the stack (defaults 8 and 16384).
-	CPUs  int
-	Pages int
-	// Arena picks the memory backend ("" = facade default / env).
-	Arena string
-	// Sessions is the ramp-phase live population; Ops the churn
-	// budget (defaults 50000 and 2x Sessions).
-	Sessions int
-	Ops      int
-	// StallEvery forwards slow-loris stalls to the generator
-	// (default 2048 churn iterations per stall).
-	StallEvery int
-	// Seed makes runs reproducible (default 1).
-	Seed uint64
-	// Allocators and Schemes select the sweep grid (defaults
-	// {slub, prudence} x {rcu, nebr}).
-	Allocators []prudence.AllocatorKind
-	Schemes    []prudence.ReclamationKind
-}
-
-func (cfg *ServerConfig) fill() {
-	if cfg.CPUs <= 0 {
-		cfg.CPUs = 8
-	}
-	if cfg.Pages <= 0 {
-		cfg.Pages = 16384
-	}
-	if cfg.Sessions <= 0 {
-		cfg.Sessions = 50000
-	}
-	if cfg.Ops <= 0 {
-		cfg.Ops = 2 * cfg.Sessions
-	}
-	if cfg.StallEvery == 0 {
-		cfg.StallEvery = 2048
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if len(cfg.Allocators) == 0 {
-		cfg.Allocators = []prudence.AllocatorKind{prudence.SLUB, prudence.Prudence}
-	}
-	if len(cfg.Schemes) == 0 {
-		cfg.Schemes = []prudence.ReclamationKind{prudence.RCU, prudence.NEBR}
-	}
-}
-
 // ServerRun is one cell of the sweep grid.
 type ServerRun struct {
 	Allocator string
@@ -80,20 +27,24 @@ type ServerResult struct {
 	Runs []ServerRun
 }
 
-// RunServer stands a fresh server stack up for every allocator/scheme
-// pair, drives the seeded load-generator mix (connect/disconnect
-// storms, hot-key skew, DoS flood cycles, slow-loris stalls) against
-// it, and tears the stack down through the full Close path. Any
-// shutdown drop or live-session accounting mismatch is an error: the
-// experiment doubles as an end-to-end correctness gate.
-func RunServer(cfg ServerConfig) (ServerResult, error) {
-	cfg.fill()
+// RunServer runs the cmd/prudence-server session-cache workload, driven
+// by its load generator, so the facade stack is compared under the same
+// churn the standalone binary serves. It stands a fresh server stack of
+// cfg's CPUs, arena size and arena backend up for every allocator in
+// {slub, prudence} and scheme in {rcu, nebr}, drives the seeded
+// load-generator mix (a 50k-session ramp, then 100k churn operations
+// with connect/disconnect storms, hot-key skew, DoS flood cycles and a
+// slow-loris stall every 2048 iterations) against it, and tears the
+// stack down through the full Close path. Any shutdown drop or
+// live-session accounting mismatch is an error: the experiment doubles
+// as an end-to-end correctness gate.
+func RunServer(cfg Config) (ServerResult, error) {
 	var res ServerResult
-	for _, alloc := range cfg.Allocators {
-		for _, scheme := range cfg.Schemes {
+	for _, alloc := range []prudence.AllocatorKind{prudence.SLUB, prudence.Prudence} {
+		for _, scheme := range []prudence.ReclamationKind{prudence.RCU, prudence.NEBR} {
 			srv, err := server.New(server.Config{
 				CPUs:        cfg.CPUs,
-				MemoryPages: cfg.Pages,
+				MemoryPages: cfg.ArenaPages,
 				Allocator:   alloc,
 				Reclamation: scheme,
 				Arena:       prudence.ArenaKind(cfg.Arena),
@@ -101,12 +52,7 @@ func RunServer(cfg ServerConfig) (ServerResult, error) {
 			if err != nil {
 				return res, fmt.Errorf("server %s/%s: %w", alloc, scheme, err)
 			}
-			load := loadgen.Run(srv, loadgen.Config{
-				Sessions:   cfg.Sessions,
-				Ops:        cfg.Ops,
-				StallEvery: cfg.StallEvery,
-				Seed:       cfg.Seed,
-			})
+			load := loadgen.Run(srv, loadgen.Config{Sessions: 50000, Ops: 100000, StallEvery: 2048, Seed: 1})
 			run := ServerRun{
 				Allocator:       string(alloc),
 				Scheme:          string(scheme),

@@ -223,6 +223,7 @@ func (q *RetireQueue) Barrier() {
 	for i, s := range q.shards {
 		targets[i] = s.seq.Load()
 	}
+	var poll *time.Timer
 	for {
 		reached := true
 		for i, s := range q.shards {
@@ -239,10 +240,16 @@ func (q *RetireQueue) Barrier() {
 		case q.kick <- struct{}{}:
 		default:
 		}
+		if poll == nil {
+			poll = time.NewTimer(q.opts.Poll)
+			defer poll.Stop()
+		} else {
+			resetTimer(poll, q.opts.Poll)
+		}
 		select {
 		case <-q.stopCh:
 			return
-		case <-time.After(q.opts.Poll):
+		case <-poll.C:
 		}
 	}
 }
@@ -255,7 +262,7 @@ func (q *RetireQueue) Stop() {
 		close(q.stopCh)
 		q.wg.Wait()
 		for i := range q.shards {
-			q.drainShard(i, true)
+			q.drainShard(i, nil)
 		}
 	})
 }
@@ -276,15 +283,20 @@ func (q *RetireQueue) RegisterMetrics(reg *metrics.Registry) {
 
 func (q *RetireQueue) drainer() {
 	defer q.wg.Done()
+	// One timer serves both the poll and drainShard's inter-burst
+	// delay: a fresh time.After per pass would allocate on every poll
+	// of an idle queue.
+	timer := time.NewTimer(q.opts.Poll)
+	defer timer.Stop()
 	for {
 		select {
 		case <-q.stopCh:
 			return
 		case <-q.kick:
-		case <-time.After(q.opts.Poll):
+		case <-timer.C:
 		}
 		for i := range q.shards {
-			q.drainShard(i, false)
+			q.drainShard(i, timer)
 		}
 		if q.pending.Load() > 0 {
 			// Keep demand raised until the backlog clears: the epoch
@@ -298,13 +310,16 @@ func (q *RetireQueue) drainer() {
 				q.gp.NeedGP()
 			}
 		}
+		resetTimer(timer, q.opts.Poll)
 	}
 }
 
 // drainShard invokes the elapsed prefix of shard i's bag in bounded
-// bursts, sleeping delay between bursts only at the throttled rate
-// (never when pressured, backlogged past qhimark/2, or stopping).
-func (q *RetireQueue) drainShard(i int, stopping bool) {
+// bursts, sleeping delay on the drainer's timer between bursts only at
+// the throttled rate (never when pressured or backlogged past
+// qhimark/2). A nil timer means the queue is stopping: drain without
+// pausing.
+func (q *RetireQueue) drainShard(i int, timer *time.Timer) {
 	s := q.shards[i]
 	for {
 		limit, expedited := q.effectiveBatch()
@@ -340,13 +355,11 @@ func (q *RetireQueue) drainShard(i int, stopping bool) {
 		}
 		s.done.Add(uint64(ready))
 		q.pending.Add(-int64(ready))
-		if stopping {
-			continue
-		}
-		if q.opts.Delay > 0 && !expedited {
+		if timer != nil && q.opts.Delay > 0 && !expedited {
+			resetTimer(timer, q.opts.Delay)
 			select {
 			case <-q.stopCh:
-			case <-time.After(q.opts.Delay):
+			case <-timer.C:
 			}
 		}
 	}

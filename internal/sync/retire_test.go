@@ -208,3 +208,14 @@ func TestRetireQueueRetireObject(t *testing.T) {
 		t.Fatalf("reclaimer saw %d deliveries, want 4", i)
 	}
 }
+
+// An idle queue's drainer polls on one re-armed timer: a poll must not
+// allocate, or every epoch-backed stack pays a timer per poll forever.
+func TestRetireQueueIdlePollDoesNotAllocate(t *testing.T) {
+	q := gsync.NewRetireQueue(&fakePoller{}, 2, gsync.QueueOptions{})
+	defer q.Stop()
+	allocs := testing.AllocsPerRun(10, func() { time.Sleep(2 * time.Millisecond) })
+	if allocs >= 1 {
+		t.Fatalf("idle queue allocated %.1f times per 2ms sleep, want < 1", allocs)
+	}
+}
