@@ -104,6 +104,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// cpuState is one CPU's epoch state, padded to 128 bytes (two cache
+// lines, for adjacent-line prefetch): every ReadLock and ReadUnlock
+// writes pinned, so neighbouring CPUs' pins must not share a line.
+//
+//prudence:padded 128
 type cpuState struct {
 	// pinned is 0 when outside any critical section; when inside, it
 	// holds 1 + the global epoch observed at entry. The neutralize
@@ -117,6 +122,7 @@ type cpuState struct {
 	// qsCalls counts QuiescentState calls for the periodic scheduler
 	// yield (owner-goroutine only; atomic for the race detector).
 	qsCalls atomic.Uint32
+	_       [128 - 8 /* pinned */ - 4 /* nesting */ - 4 /* neutralized */ - 4 /* qsCalls */ - 4] /* align */ byte
 }
 
 // EBR is the epoch engine. Cookies are epochs: Snapshot returns the
@@ -129,6 +135,9 @@ type EBR struct {
 	opts    Options
 	percpu  []*cpuState
 	queue   *gsync.RetireQueue
+	// pollTimer paces quiesce's re-checks; only the driver goroutine,
+	// which runs quiesce, touches it.
+	pollTimer *time.Timer
 
 	epoch atomic.Uint64 // global epoch counter
 
@@ -142,9 +151,10 @@ type EBR struct {
 // interrupt handler.
 func New(machine *vcpu.Machine, opts Options) *EBR {
 	e := &EBR{
-		machine: machine,
-		opts:    opts.withDefaults(),
-		percpu:  make([]*cpuState, machine.NumCPU()),
+		machine:   machine,
+		opts:      opts.withDefaults(),
+		percpu:    make([]*cpuState, machine.NumCPU()),
+		pollTimer: gsync.NewSleepTimer(),
 	}
 	for i := range e.percpu {
 		e.percpu[i] = &cpuState{}
@@ -319,7 +329,7 @@ func (e *EBR) quiesce() bool {
 		if !stragglers {
 			return true
 		}
-		if !e.Sleep(e.opts.PollInterval) {
+		if !e.Sleep(e.pollTimer, e.opts.PollInterval) {
 			return false
 		}
 	}
@@ -357,7 +367,7 @@ func (e *EBR) EnterIdle(cpu int) {}
 // ExitIdle is a no-op, mirroring EnterIdle.
 func (e *EBR) ExitIdle(cpu int) {}
 
-// RetireObject parks the payload in cpu's limbo bag, stamped with the
+// RetireObject parks the payload in cpu's retire ring, stamped with the
 // current cookie; the drainer reclaims it once two epoch advances have
 // passed. The steady-state retire path allocates nothing.
 func (e *EBR) RetireObject(cpu int, r gsync.Reclaimer, obj any, idx uint64) {

@@ -359,6 +359,8 @@ func (h *HP) Barrier() {
 	for i, cs := range h.percpu {
 		targets[i] = cs.seq.Load()
 	}
+	poll := gsync.NewSleepTimer()
+	defer poll.Stop()
 	for {
 		reached := true
 		for i, cs := range h.percpu {
@@ -372,7 +374,7 @@ func (h *HP) Barrier() {
 		}
 		// A blocked barrier is latency-sensitive by definition.
 		h.ExpediteGP()
-		if !h.Sleep(h.opts.PollInterval) {
+		if !h.Sleep(poll, h.opts.PollInterval) {
 			return
 		}
 	}

@@ -30,6 +30,7 @@ package rcu
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -124,26 +125,31 @@ type Stats struct {
 	SynchronizeCalls uint64
 }
 
+// cpuState is one CPU's engine state: its callback ring in the first
+// 128 bytes, the owner's read-side and quiescent-state bookkeeping in
+// the second, so no field shares a cache line with another CPU's.
+//
+//prudence:padded 256
 type cpuState struct {
+	// cbs is the CPU's callback list. RetireObject appends to it; the
+	// owner's quiescent states and the callback processor take its
+	// ready prefix.
+	cbs gsync.RetireRing
+
 	nesting atomic.Int32 // read-side critical section depth
-	qsSeq   atomic.Uint64
 	idle    atomic.Bool
-
-	//prudence:lockorder 40
-	cbMu sync.Mutex
-	//prudence:guarded_by cbMu
-	cbs  []gsync.Retired
-	wake chan struct{}
-
-	// cbCount mirrors len(cbs) for lock-free emptiness checks on the
-	// hot quiescent-state path.
-	cbCount atomic.Int64
 	// qsCalls counts QuiescentState invocations for the periodic
 	// scheduler yield (only the owning goroutine touches it).
 	qsCalls atomic.Uint32
+	qsSeq   atomic.Uint64
 	// lastInline is the wall time (ns) of the last inline callback
 	// batch, enforcing the throttle delay between batches.
 	lastInline atomic.Int64
+	// wake kicks the callback processor.
+	wake chan struct{}
+	// inline is the owner's scratch for inline callback batches.
+	inline []gsync.Retired
+	_      [128 - 4 /* nesting */ - 4 /* idle */ - 4 /* qsCalls */ - 4 /* align */ - 8 /* qsSeq */ - 8 /* lastInline */ - 8 /* wake */ - 24] /* inline */ byte
 }
 
 // RCU is the grace-period engine. All methods are safe for concurrent
@@ -161,17 +167,24 @@ type RCU struct {
 	gpStarted   atomic.Uint64
 	gpCompleted atomic.Uint64
 
-	pending  atomic.Int64 // callbacks not yet invoked
 	pressure atomic.Bool
 
 	// qsReports is hammered by every QuiescentState on every CPU, so it
-	// is per-CPU sharded rather than a shared atomic.
-	qsReports        *metrics.Counter
-	cbInvoked        atomic.Uint64
-	cbQueued         atomic.Uint64
+	// is per-CPU sharded rather than a shared atomic. The callback
+	// counts live in the per-CPU rings for the same reason; the engine
+	// totals are sums over them.
+	qsReports *metrics.Counter
+	// maxBacklog is the callback backlog's high-water mark, sampled at
+	// every grace-period completion and every read rather than on every
+	// RetireObject.
 	maxBacklog       atomic.Int64
 	expeditedBatches atomic.Uint64
 	throttledBatches atomic.Uint64
+
+	// qsDone and qsTimer are waitForQS's per-CPU marks and poll timer;
+	// only the driver goroutine, which runs waitForQS, touches them.
+	qsDone  []bool
+	qsTimer *time.Timer
 }
 
 // New creates and starts an engine for machine. All CPUs begin in the
@@ -183,6 +196,8 @@ func New(machine *vcpu.Machine, opts Options) *RCU {
 		opts:      opts.withDefaults(),
 		percpu:    make([]*cpuState, machine.NumCPU()),
 		qsReports: metrics.NewCounter(machine.NumCPU()),
+		qsDone:    make([]bool, machine.NumCPU()),
+		qsTimer:   gsync.NewSleepTimer(),
 	}
 	for i := range r.percpu {
 		cs := &cpuState{wake: make(chan struct{}, 1)}
@@ -196,7 +211,7 @@ func New(machine *vcpu.Machine, opts Options) *RCU {
 		Elapsed:  r.Elapsed,
 		// Queued callbacks are demand; under memory pressure grace
 		// periods run back to back.
-		Backlog:   r.pending.Load,
+		Backlog:   r.backlog,
 		Expedited: r.pressure.Load,
 		Quiesce:   func() bool { return r.waitForQS(r.gpStarted.Add(1)) },
 		Advance:   r.completeGP,
@@ -273,7 +288,7 @@ func (r *RCU) QuiescentState(cpu int) {
 // runInlineCallbacks invokes one throttled batch of ready callbacks on
 // the caller (the CPU's owning goroutine).
 func (r *RCU) runInlineCallbacks(cs *cpuState) {
-	backlog := cs.cbCount.Load()
+	backlog := cs.cbs.Len()
 	if backlog == 0 {
 		return
 	}
@@ -299,7 +314,8 @@ func (r *RCU) runInlineCallbacks(cs *cpuState) {
 	if r.opts.Qhimark > 0 && backlog > int64(r.opts.Qhimark) {
 		limit = int(backlog) // drain everything ready
 	}
-	batch := r.takeReady(cs, limit)
+	batch := cs.cbs.TakeReady(cs.inline, limit, r)
+	cs.inline = batch
 	if len(batch) == 0 {
 		return
 	}
@@ -311,22 +327,34 @@ func (r *RCU) runInlineCallbacks(cs *cpuState) {
 	// Chaos: delay callback invocation (objects stay latent longer).
 	//prudence:fault_point
 	fault.Sleep(fault.CBDelay)
+	invoke(cs, batch)
+}
+
+// invoke runs a batch taken from cs's ring and reports it done.
+func invoke(cs *cpuState, batch []gsync.Retired) {
 	for i := range batch {
 		batch[i].Reclaim()
 	}
-	r.cbInvoked.Add(uint64(len(batch)))
-	r.pending.Add(int64(-len(batch)))
+	clear(batch) // the scratch must not keep payloads alive
+	cs.cbs.Done(len(batch))
 }
 
 // EnterIdle places cpu in the extended quiescent state: the grace-period
 // driver treats it as permanently quiescent until ExitIdle. Panics if
-// called inside a read-side critical section.
+// called inside a read-side critical section. Callbacks still queued
+// pass to the callback processor, which works only for idle CPUs.
 func (r *RCU) EnterIdle(cpu int) {
 	cs := r.cpu(cpu)
 	if cs.nesting.Load() > 0 {
 		panic("rcu: EnterIdle inside read-side critical section")
 	}
 	cs.idle.Store(true)
+	// Loaded after the idle store, as RetireObject loads idle after its
+	// push: whichever of two racing calls runs second sees the other's
+	// write, so a callback is never left with nobody to wake for it.
+	if cs.cbs.Len() > 0 {
+		wake(cs)
+	}
 }
 
 // ExitIdle removes cpu from the extended quiescent state.
@@ -368,24 +396,23 @@ func (r *RCU) park(cpu int) bool {
 // RetireObject registers an RCU callback carrying the (reclaimer, obj,
 // idx) payload, invoked on cpu's callback processor (or at cpu's
 // quiescent states) after a grace period elapses. This is the Listing 1
-// path the SLUB-based baseline uses for deferred frees; it enqueues
-// with zero allocations.
+// path the SLUB-based baseline uses for deferred frees. Like the
+// kernel's call_rcu it is an append to a per-CPU list: it writes only
+// cpu's own ring and allocates nothing once the ring is warm. It wakes
+// the callback processor only when the processor has work it may do —
+// cpu idle, or memory pressure on; a busy CPU invokes its own
+// callbacks at its quiescent states.
 func (r *RCU) RetireObject(cpu int, rec gsync.Reclaimer, obj any, idx uint64) {
 	cs := r.cpu(cpu)
-	cb := gsync.Retired{Cookie: r.Snapshot(), Rec: rec, Obj: obj, Idx: idx, CPU: int32(cpu)}
-	cs.cbMu.Lock()
-	cs.cbs = append(cs.cbs, cb)
-	cs.cbMu.Unlock()
-	cs.cbCount.Add(1)
-	pend := r.pending.Add(1)
-	for {
-		m := r.maxBacklog.Load()
-		if pend <= m || r.maxBacklog.CompareAndSwap(m, pend) {
-			break
-		}
-	}
-	r.cbQueued.Add(1)
+	cs.cbs.Push(gsync.Retired{Cookie: r.Snapshot(), Rec: rec, Obj: obj, Idx: idx, CPU: int32(cpu)})
 	r.NeedGP()
+	if cs.idle.Load() || r.pressure.Load() {
+		wake(cs)
+	}
+}
+
+// wake kicks cs's callback processor.
+func wake(cs *cpuState) {
 	select {
 	case cs.wake <- struct{}{}:
 	default:
@@ -394,7 +421,40 @@ func (r *RCU) RetireObject(cpu int, rec gsync.Reclaimer, obj any, idx uint64) {
 
 // PendingCallbacks returns the number of callbacks queued but not yet
 // invoked.
-func (r *RCU) PendingCallbacks() int { return int(r.pending.Load()) }
+func (r *RCU) PendingCallbacks() int { return int(r.backlog()) }
+
+// backlog sums the per-CPU callbacks queued but not yet invoked.
+func (r *RCU) backlog() int64 {
+	var n int64
+	for _, cs := range r.percpu {
+		n += cs.cbs.Pending()
+	}
+	return n
+}
+
+// sampleBacklog folds the current backlog into the high-water mark and
+// returns the mark.
+func (r *RCU) sampleBacklog() int64 {
+	n := r.backlog()
+	for {
+		m := r.maxBacklog.Load()
+		if n <= m {
+			return m
+		}
+		if r.maxBacklog.CompareAndSwap(m, n) {
+			return n
+		}
+	}
+}
+
+// callbackTotals sums the per-CPU callbacks ever queued and invoked.
+func (r *RCU) callbackTotals() (queued, invoked uint64) {
+	for _, cs := range r.percpu {
+		invoked += cs.cbs.Invoked()
+		queued += cs.cbs.Queued()
+	}
+	return queued, invoked
+}
 
 // barrier counts down as its per-CPU sentinel callbacks run.
 type barrier struct{ remaining atomic.Int64 }
@@ -415,10 +475,15 @@ func (r *RCU) Barrier() {
 	for cpu := range r.percpu {
 		r.RetireObject(cpu, b, nil, 0)
 	}
+	poll := gsync.NewSleepTimer()
+	defer poll.Stop()
 	for b.remaining.Load() > 0 {
 		// Keep grace periods and processors moving while we wait; a
 		// stopping engine drains ready callbacks itself.
-		if !r.Sleep(200 * time.Microsecond) {
+		for _, cs := range r.percpu {
+			wake(cs)
+		}
+		if !r.Sleep(poll, 200*time.Microsecond) {
 			return
 		}
 		r.NeedGP()
@@ -434,22 +499,20 @@ func (r *RCU) SetPressure(under bool) {
 		// grace periods back to back.
 		r.ExpediteGP()
 		for _, cs := range r.percpu {
-			select {
-			case cs.wake <- struct{}{}:
-			default:
-			}
+			wake(cs)
 		}
 	}
 }
 
 // Stats returns a snapshot of engine counters.
 func (r *RCU) Stats() Stats {
+	queued, invoked := r.callbackTotals()
 	return Stats{
 		GPsStarted:       r.gpStarted.Load(),
 		GPsCompleted:     r.gpCompleted.Load(),
-		CallbacksQueued:  r.cbQueued.Load(),
-		CallbacksInvoked: r.cbInvoked.Load(),
-		MaxBacklog:       r.maxBacklog.Load(),
+		CallbacksQueued:  queued,
+		CallbacksInvoked: invoked,
+		MaxBacklog:       r.sampleBacklog(),
 		ExpeditedBatches: r.expeditedBatches.Load(),
 		ThrottledBatches: r.throttledBatches.Load(),
 		QuiescentReports: r.qsReports.Value(),
@@ -460,19 +523,19 @@ func (r *RCU) Stats() Stats {
 // RegisterMetrics registers the engine's counters, the live callback
 // backlog, and the grace-period latency histogram. Everything except
 // the quiescent-report counter is a func-backed read of atomics the
-// engine already maintains.
+// engine already maintains (the callback series sum the per-CPU rings).
 func (r *RCU) RegisterMetrics(reg *metrics.Registry) {
 	r.RegisterGPMetrics(reg)
 	reg.CounterFunc("prudence_gp_started_total", "Grace periods started.",
 		func() float64 { return float64(r.gpStarted.Load()) })
 	reg.CounterFunc("prudence_rcu_callbacks_queued_total", "Deferred-free callbacks registered via RetireObject.",
-		func() float64 { return float64(r.cbQueued.Load()) })
+		func() float64 { q, _ := r.callbackTotals(); return float64(q) })
 	reg.CounterFunc("prudence_rcu_callbacks_invoked_total", "Deferred-free callbacks invoked after their grace period.",
-		func() float64 { return float64(r.cbInvoked.Load()) })
+		func() float64 { _, i := r.callbackTotals(); return float64(i) })
 	reg.GaugeFunc("prudence_rcu_callback_backlog", "Callbacks queued but not yet invoked (reclamation lag).",
-		func() float64 { return float64(r.pending.Load()) })
-	reg.GaugeFunc("prudence_rcu_callback_backlog_peak", "High-water mark of the callback backlog.",
-		func() float64 { return float64(r.maxBacklog.Load()) })
+		func() float64 { return float64(r.backlog()) })
+	reg.GaugeFunc("prudence_rcu_callback_backlog_peak", "High-water mark of the callback backlog, sampled at grace-period completions and reads.",
+		func() float64 { return float64(r.sampleBacklog()) })
 	reg.CounterFunc("prudence_rcu_expedited_batches_total", "Callback batches run expedited under memory pressure.",
 		func() float64 { return float64(r.expeditedBatches.Load()) })
 	reg.CounterFunc("prudence_rcu_throttled_batches_total", "Callback batches run at the throttled rate.",
@@ -487,19 +550,20 @@ func (r *RCU) RegisterMetrics(reg *metrics.Registry) {
 			if gps == 0 {
 				return 0
 			}
-			return float64(r.cbInvoked.Load()) / float64(gps)
+			_, invoked := r.callbackTotals()
+			return float64(invoked) / float64(gps)
 		})
 }
 
 // completeGP publishes the grace period waitForQS observed and wakes
-// the callback processors to invoke what it made ready.
+// the callback processors to invoke what it made ready. The backlog
+// peak is sampled first, while the period's callbacks are all still
+// queued.
 func (r *RCU) completeGP() bool {
+	r.sampleBacklog()
 	r.gpCompleted.Store(r.gpStarted.Load())
 	for _, cs := range r.percpu {
-		select {
-		case cs.wake <- struct{}{}:
-		default:
-		}
+		wake(cs)
 	}
 	return true
 }
@@ -508,7 +572,8 @@ func (r *RCU) completeGP() bool {
 // for grace period target or been observed idle after the grace period
 // started. Returns false if the engine is stopping.
 func (r *RCU) waitForQS(target uint64) bool {
-	satisfied := make([]bool, len(r.percpu))
+	satisfied := r.qsDone
+	clear(satisfied)
 	remaining := len(r.percpu)
 	for remaining > 0 {
 		for i, cs := range r.percpu {
@@ -530,7 +595,7 @@ func (r *RCU) waitForQS(target uint64) bool {
 		if remaining == 0 {
 			break
 		}
-		if !r.Sleep(r.opts.QSPollInterval) {
+		if !r.Sleep(r.qsTimer, r.opts.QSPollInterval) {
 			return false
 		}
 	}
@@ -546,10 +611,13 @@ func (r *RCU) waitForQS(target uint64) bool {
 func (r *RCU) cbProcessor(cpu int) {
 	defer r.procs.Done()
 	cs := r.percpu[cpu]
+	timer := gsync.NewSleepTimer()
+	defer timer.Stop()
+	var batch []gsync.Retired // reused across batches
 	for {
 		select {
 		case <-r.Done():
-			r.drainReady(cs)
+			r.drainReady(cs, batch)
 			return
 		case <-cs.wake:
 		}
@@ -564,7 +632,7 @@ func (r *RCU) cbProcessor(cpu int) {
 			if expedited {
 				limit = r.opts.ExpeditedBlimit
 			}
-			batch := r.takeReady(cs, limit)
+			batch = cs.cbs.TakeReady(batch, limit, r)
 			if len(batch) == 0 {
 				break
 			}
@@ -576,11 +644,7 @@ func (r *RCU) cbProcessor(cpu int) {
 			// Chaos: delay offloaded callback invocation.
 			//prudence:fault_point
 			fault.Sleep(fault.CBDelay)
-			for i := range batch {
-				batch[i].Reclaim()
-			}
-			r.cbInvoked.Add(uint64(len(batch)))
-			r.pending.Add(int64(-len(batch)))
+			invoke(cs, batch)
 			// Throttle between batches: bounds jitter at the cost of
 			// processing rate (§3.2). Expedited mode uses the (usually
 			// zero) expedited delay instead.
@@ -589,8 +653,8 @@ func (r *RCU) cbProcessor(cpu int) {
 				delay = r.opts.ExpeditedDelay
 			}
 			if delay > 0 {
-				if !r.Sleep(delay) {
-					r.drainReady(cs)
+				if !r.Sleep(timer, delay) {
+					r.drainReady(cs, batch)
 					return
 				}
 			}
@@ -598,45 +662,22 @@ func (r *RCU) cbProcessor(cpu int) {
 	}
 }
 
-// takeReady removes and returns up to limit callbacks from the front of
-// cs's queue whose cookies have elapsed. Cookies are monotonic per CPU,
-// so the ready callbacks form a prefix.
-func (r *RCU) takeReady(cs *cpuState, limit int) []gsync.Retired {
-	completed := r.gpCompleted.Load()
-	cs.cbMu.Lock()
-	defer cs.cbMu.Unlock()
-	n := 0
-	for n < len(cs.cbs) && n < limit && uint64(cs.cbs[n].Cookie) <= completed {
-		n++
-	}
-	if n == 0 {
-		return nil
-	}
-	batch := make([]gsync.Retired, n)
-	copy(batch, cs.cbs[:n])
-	cs.cbs = cs.cbs[n:]
-	cs.cbCount.Add(int64(-n))
-	return batch
-}
-
-func (r *RCU) drainReady(cs *cpuState) {
+// drainReady invokes every ready callback on cs, using scratch as the
+// batch buffer.
+func (r *RCU) drainReady(cs *cpuState, scratch []gsync.Retired) {
 	for {
-		batch := r.takeReady(cs, 1<<30)
-		if len(batch) == 0 {
+		scratch = cs.cbs.TakeReady(scratch, math.MaxInt, r)
+		if len(scratch) == 0 {
 			return
 		}
-		for i := range batch {
-			batch[i].Reclaim()
-		}
-		r.cbInvoked.Add(uint64(len(batch)))
-		r.pending.Add(int64(-len(batch)))
+		invoke(cs, scratch)
 	}
 }
 
 // DebugState reports per-CPU quiescent bookkeeping for diagnostics.
 func (r *RCU) DebugState() string {
 	out := fmt.Sprintf("started=%d completed=%d pending=%d pressure=%v |",
-		r.gpStarted.Load(), r.gpCompleted.Load(), r.pending.Load(), r.pressure.Load())
+		r.gpStarted.Load(), r.gpCompleted.Load(), r.backlog(), r.pressure.Load())
 	for i, cs := range r.percpu {
 		out += fmt.Sprintf(" cpu%d{nest=%d qs=%d idle=%v}", i, cs.nesting.Load(), cs.qsSeq.Load(), cs.idle.Load())
 	}

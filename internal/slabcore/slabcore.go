@@ -801,8 +801,15 @@ type PerCPUCache struct {
 	lock OwnerLock
 	//prudence:guarded_by PerCPUCache
 	Objs []Ref
-	Size int // capacity (the "object cache size" o of §4.2)
-	_    [128 - 4 /* lock */ - 4 /* align */ - 24 /* Objs */ - 8] /* Size */ byte
+	// Victims is flush scratch for a caller that takes objects with
+	// TakeInto and releases them before unlocking, so a flush
+	// allocates nothing. It is cleared after each flush so it keeps no
+	// destroyed slab alive.
+	//
+	//prudence:guarded_by PerCPUCache
+	Victims []Ref
+	Size    int // capacity (the "object cache size" o of §4.2)
+	_       [128 - 4 /* lock */ - 4 /* align */ - 24 /* Objs */ - 24 /* Victims */ - 8] /* Size */ byte
 }
 
 // NewPerCPUCache creates a cache with the given capacity.
@@ -885,14 +892,10 @@ func (c *PerCPUCache) TakeAll() []Ref {
 	return out
 }
 
-// Take removes and returns up to n objects from the bottom of the stack
-// (the coldest entries). Caller must hold the cache lock.
-//
-//prudence:requires PerCPUCache
-func (c *PerCPUCache) Take(n int) []Ref { return c.TakeInto(nil, n) }
-
-// TakeInto is Take appending to dst, so a caller that keeps dst as
-// scratch flushes without allocating. Caller must hold the cache lock.
+// TakeInto removes up to n objects from the bottom of the stack (the
+// coldest entries) and appends them to dst, so a caller that keeps dst
+// as scratch flushes without allocating. Caller must hold the cache
+// lock.
 //
 //prudence:requires PerCPUCache
 func (c *PerCPUCache) TakeInto(dst []Ref, n int) []Ref {

@@ -427,10 +427,10 @@ func TestPerCPUCacheOps(t *testing.T) {
 	if got := c.TryGet(); got.Idx != 3 {
 		t.Fatalf("TryGet = %d, want 3 (LIFO)", got.Idx)
 	}
-	// Take removes from the bottom (coldest).
-	taken := c.Take(2)
+	// TakeInto removes from the bottom (coldest).
+	taken := c.TakeInto(nil, 2)
 	if len(taken) != 2 || taken[0].Idx != 0 || taken[1].Idx != 1 {
-		t.Fatalf("Take(2) = %v", taken)
+		t.Fatalf("TakeInto(nil, 2) = %v", taken)
 	}
 	if c.Len() != 1 || c.Objs[0].Idx != 2 {
 		t.Fatalf("cache after take = %v", c.Objs)
@@ -439,11 +439,11 @@ func TestPerCPUCacheOps(t *testing.T) {
 	if len(all) != 1 || c.Len() != 0 {
 		t.Fatal("TakeAll failed")
 	}
-	if got := c.Take(5); got != nil {
-		t.Fatalf("Take(5) on empty = %v, want nil", got)
+	if got := c.TakeInto(nil, 5); got != nil {
+		t.Fatalf("TakeInto(nil, 5) on empty = %v, want nil", got)
 	}
-	if got := c.Take(-1); got != nil {
-		t.Fatalf("Take(-1) = %v, want nil", got)
+	if got := c.TakeInto(nil, -1); got != nil {
+		t.Fatalf("TakeInto(nil, -1) = %v, want nil", got)
 	}
 }
 

@@ -242,11 +242,16 @@ func (c *Cache) freeObj(cpu int, r slabcore.Ref, remote bool) {
 		return
 	}
 	// Overflow: flush the older half of the cache to the node lists.
-	victims := cc.Take(cc.Len() / 2)
-	cc.Unlock()
+	// The release runs under the cache lock, as core's flush does, so
+	// the victims can use the cache's own scratch: a flush allocates
+	// nothing.
+	victims := cc.TakeInto(cc.Victims[:0], cc.Len()/2)
+	cc.Victims = victims
 	c.base.Ctr.Flushes.Add(1)
 	c.base.Trace(trace.KindFlush, cpu, int64(len(victims)), 0)
 	c.base.ReleaseRefs(victims, slabcore.HomeList)
+	clear(victims) // the scratch must not keep destroyed slabs alive
+	cc.Unlock()
 	node := c.base.NodeFor(cpu)
 	if freed, _ := c.base.ShrinkNode(node, c.base.Cfg.FreeSlabLimit, nil); freed > 0 {
 		c.base.Trace(trace.KindShrink, cpu, int64(freed), 0)

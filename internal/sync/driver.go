@@ -74,8 +74,10 @@ type Driver struct {
 	syncCalls         atomic.Uint64
 	gpHist            stats.Histogram // grace-period start to completion
 
-	// mu guards the advance broadcast: advanced is closed and replaced
-	// at every advance, waking everyone who fetched it before.
+	// mu guards the advance broadcast: the first waiter of an advance
+	// makes advanced, and the advance closes it and clears it, waking
+	// everyone who fetched it. An advance nobody waits for allocates
+	// nothing.
 	//
 	//prudence:lockorder 50
 	mu       stdsync.Mutex
@@ -91,9 +93,6 @@ func (d *Driver) Start(p Policy) {
 	d.pol = p
 	d.kick = make(chan struct{}, 1)
 	d.stop = make(chan struct{})
-	d.mu.Lock()
-	d.advanced = make(chan struct{})
-	d.mu.Unlock()
 	d.wg.Add(1)
 	go d.run()
 }
@@ -118,14 +117,26 @@ func (d *Driver) Stopped() bool {
 // Done is closed when Stop begins, for the scheme's own goroutines.
 func (d *Driver) Done() <-chan struct{} { return d.stop }
 
-// Sleep pauses for dur and reports whether the driver is still running.
-func (d *Driver) Sleep(dur time.Duration) bool {
+// Sleep pauses for dur on t and reports whether the driver is still
+// running. t is the calling goroutine's own timer (see NewSleepTimer),
+// re-armed on every call, so a polling loop allocates no timer per
+// pass.
+func (d *Driver) Sleep(t *time.Timer, dur time.Duration) bool {
+	resetTimer(t, dur)
 	select {
 	case <-d.stop:
 		return false
-	case <-time.After(dur):
+	case <-t.C:
 		return true
 	}
+}
+
+// NewSleepTimer returns a stopped timer for one goroutine's Sleep
+// calls.
+func NewSleepTimer() *time.Timer {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
 }
 
 // NeedGP records demand for grace-period progress. Demand already
@@ -221,15 +232,24 @@ func (d *Driver) wait(c Cookie, deadline time.Time) bool {
 		defer t.Stop()
 		timeout = t.C
 	}
+	var pollTimer *time.Timer
+	if d.pol.Poll > 0 {
+		pollTimer = NewSleepTimer()
+		defer pollTimer.Stop()
+	}
 	for {
 		// Fetch the broadcast before checking Elapsed, so an advance
 		// between the check and the select still wakes us.
 		var advanced <-chan struct{}
 		var poll <-chan time.Time
-		if d.pol.Poll > 0 {
-			poll = time.After(d.pol.Poll)
+		if pollTimer != nil {
+			resetTimer(pollTimer, d.pol.Poll)
+			poll = pollTimer.C
 		} else {
 			d.mu.Lock()
+			if d.advanced == nil {
+				d.advanced = make(chan struct{})
+			}
 			advanced = d.advanced
 			d.mu.Unlock()
 		}
@@ -324,7 +344,7 @@ func (d *Driver) run() {
 		// Chaos: stall after the policy's safety wait but before the
 		// advance is published; every waiter sees it arbitrarily late.
 		//prudence:fault_point
-		if stall := fault.FireDelay(fault.GPStall); stall > 0 && !d.Sleep(stall) {
+		if stall := fault.FireDelay(fault.GPStall); stall > 0 && !d.Sleep(timer, stall) {
 			return
 		}
 		mid = !d.pol.Advance()
@@ -336,8 +356,10 @@ func (d *Driver) run() {
 		}
 		if d.pol.Poll == 0 {
 			d.mu.Lock()
-			close(d.advanced)
-			d.advanced = make(chan struct{})
+			if d.advanced != nil {
+				close(d.advanced)
+				d.advanced = nil
+			}
 			d.mu.Unlock()
 		}
 	}

@@ -73,107 +73,91 @@ type Retired struct {
 // Reclaim hands the payload to its reclaimer.
 func (r *Retired) Reclaim() { r.Rec.ReclaimRetired(int(r.CPU), r.Obj, r.Idx) }
 
-// rqShard is one CPU's limbo bag. Entries are appended in Snapshot
-// order, so the bag is cookie-sorted and the drainer frees a prefix.
-type rqShard struct {
-	// mu guards the bag only; it is released before any reclaimer
-	// runs (reclaimers take allocator locks).
-	//
-	//prudence:lockorder 42
-	mu  stdsync.Mutex
-	bag []Retired //prudence:guarded_by mu
-	// burst is drain-side scratch for the ready prefix, reused across
-	// bursts so steady-state draining allocates nothing. Only the
-	// drain side touches it (the drainer goroutine while it runs, the
-	// stopping goroutine after the drainer has exited), never under mu.
-	burst []Retired
-	// seq counts entries ever enqueued; done counts entries ever
-	// invoked. Barrier waits for done to reach its snapshot of seq —
-	// sound because the bag drains FIFO.
-	seq  atomic.Uint64
-	done atomic.Uint64
-}
-
 // RetireQueue gives the epoch engine (ebr, nebr) its per-object
-// retirement hook: per-CPU cookie-stamped limbo bags drained by one
-// background goroutine as grace periods elapse. It is the moral
-// equivalent of internal/rcu's callback lists: batching, throttling,
-// barriers and pressure expediting. Drain batches scale with the
-// backlog (see QueueOptions.Qhimark) so a sustained deferred-free storm
-// cannot grow the limbo bags without bound — the nebr×slub endurance
-// OOM class.
+// retirement hook: one RetireRing per CPU, drained by one background
+// goroutine as grace periods elapse. It is the moral equivalent of
+// internal/rcu's callback lists, built on the same ring: batching,
+// throttling, barriers and pressure expediting. Drain batches scale
+// with the backlog (see QueueOptions.Qhimark) so a sustained
+// deferred-free storm cannot grow the rings without bound — the
+// nebr×slub endurance OOM class.
 type RetireQueue struct {
-	gp     GracePoller
-	shards []*rqShard
+	gp    GracePoller
+	rings []RetireRing
 
 	opts      QueueOptions
 	pressured atomic.Bool
 
-	pending    atomic.Int64
+	// maxBacklog is the high-water mark of Pending, raised by every
+	// enqueue from the backlog sum its qhimark check takes anyway.
 	maxBacklog atomic.Int64
 	// expeditedDrains counts bursts that ran above the throttled batch
 	// size (pressure, deep backlog, or past qhimark).
 	expeditedDrains atomic.Uint64
+	// burst is drain-side scratch for a ring's ready prefix, reused so
+	// steady-state draining allocates nothing. Only the drain side
+	// touches it: the drainer goroutine while it runs, the stopping
+	// goroutine after it has exited.
+	burst []Retired
 
+	// kick wakes the drainer early (pressure, Barrier). Enqueues do not
+	// kick: nothing is reclaimable until a grace period elapses, and
+	// the drainer's poll finds it then.
 	kick     chan struct{}
 	stopOnce stdsync.Once
 	stopCh   chan struct{}
 	wg       stdsync.WaitGroup
 }
 
-// NewRetireQueue creates and starts a queue with one limbo bag per CPU.
+// NewRetireQueue creates and starts a queue with one ring per CPU.
 func NewRetireQueue(gp GracePoller, cpus int, opts QueueOptions) *RetireQueue {
 	q := &RetireQueue{
 		gp:     gp,
-		shards: make([]*rqShard, cpus),
+		rings:  make([]RetireRing, cpus),
 		opts:   opts.withDefaults(),
 		kick:   make(chan struct{}, 1),
 		stopCh: make(chan struct{}),
-	}
-	for i := range q.shards {
-		q.shards[i] = &rqShard{}
 	}
 	q.wg.Add(1)
 	go q.drainer()
 	return q
 }
 
-// RetireObject enqueues the payload on cpu's limbo bag, stamped with
-// the current grace-period cookie, and raises demand so the epoch
-// machinery moves — expedited demand once the backlog has grown past
-// the qhimark. The enqueue allocates nothing once the bag's capacity
-// is warm.
+// RetireObject enqueues the payload on cpu's ring, stamped with the
+// current grace-period cookie, and raises demand so the epoch machinery
+// moves — expedited demand once the backlog has grown past the
+// qhimark. The enqueue allocates nothing once the ring is warm.
 func (q *RetireQueue) RetireObject(cpu int, rec Reclaimer, obj any, idx uint64) {
-	q.enqueue(cpu, Retired{Rec: rec, Obj: obj, Idx: idx, CPU: int32(cpu)})
-}
-
-func (q *RetireQueue) enqueue(cpu int, r Retired) {
-	s := q.shards[cpu]
-	r.Cookie = q.gp.Snapshot()
-	s.mu.Lock()
-	s.bag = append(s.bag, r)
-	s.mu.Unlock()
-	s.seq.Add(1)
-	n := q.pending.Add(1)
-	if n > q.maxBacklog.Load() {
-		q.maxBacklog.Store(n)
-	}
+	q.rings[cpu].Push(Retired{Cookie: q.gp.Snapshot(), Rec: rec, Obj: obj, Idx: idx, CPU: int32(cpu)})
+	n := raiseMax(&q.maxBacklog, q.Pending())
 	if q.opts.Qhimark > 0 && n > int64(q.opts.Qhimark) {
 		q.gp.ExpediteGP()
 	} else {
 		q.gp.NeedGP()
 	}
-	select {
-	case q.kick <- struct{}{}:
-	default:
-	}
 }
 
 // Pending returns the number of retirements not yet reclaimed.
-func (q *RetireQueue) Pending() int64 { return q.pending.Load() }
+func (q *RetireQueue) Pending() int64 {
+	var n int64
+	for i := range q.rings {
+		n += q.rings[i].Pending()
+	}
+	return n
+}
 
 // MaxBacklog returns the high-water mark of Pending.
 func (q *RetireQueue) MaxBacklog() int64 { return q.maxBacklog.Load() }
+
+// raiseMax lifts *m to at least v and returns v.
+func raiseMax(m *atomic.Int64, v int64) int64 {
+	for {
+		cur := m.Load()
+		if v <= cur || m.CompareAndSwap(cur, v) {
+			return v
+		}
+	}
+}
 
 // ExpeditedDrains returns how many bursts ran above the throttled batch
 // size.
@@ -185,7 +169,7 @@ func (q *RetireQueue) ExpeditedDrains() uint64 { return q.expeditedDrains.Load()
 // qhimark itself is crossed (rcu's "limits come off entirely").
 func (q *RetireQueue) effectiveBatch() (limit int, expedited bool) {
 	limit = q.opts.Batch
-	backlog := int(q.pending.Load())
+	backlog := int(q.Pending())
 	if q.pressured.Load() {
 		limit, expedited = q.opts.ExpeditedBatch, true
 	}
@@ -219,15 +203,15 @@ func (q *RetireQueue) SetPressure(under bool) {
 // barrier is latency-sensitive by definition, so the demand it raises
 // is expedited.
 func (q *RetireQueue) Barrier() {
-	targets := make([]uint64, len(q.shards))
-	for i, s := range q.shards {
-		targets[i] = s.seq.Load()
+	targets := make([]uint64, len(q.rings))
+	for i := range q.rings {
+		targets[i] = q.rings[i].Queued()
 	}
 	var poll *time.Timer
 	for {
 		reached := true
-		for i, s := range q.shards {
-			if s.done.Load() < targets[i] {
+		for i := range q.rings {
+			if q.rings[i].Invoked() < targets[i] {
 				reached = false
 				break
 			}
@@ -261,8 +245,8 @@ func (q *RetireQueue) Stop() {
 	q.stopOnce.Do(func() {
 		close(q.stopCh)
 		q.wg.Wait()
-		for i := range q.shards {
-			q.drainShard(i, nil)
+		for i := range q.rings {
+			q.drainRing(&q.rings[i], nil)
 		}
 	})
 }
@@ -272,7 +256,7 @@ func (q *RetireQueue) Stop() {
 // behaviour reads identically over every backend built on the queue.
 func (q *RetireQueue) RegisterMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("prudence_sync_retire_backlog", "Retired objects enqueued but not yet invoked.",
-		func() float64 { return float64(q.pending.Load()) })
+		func() float64 { return float64(q.Pending()) })
 	reg.GaugeFunc("prudence_sync_retire_backlog_peak", "High-water mark of the retire backlog.",
 		func() float64 { return float64(q.maxBacklog.Load()) })
 	reg.GaugeFunc("prudence_sync_retire_batch_size", "Current effective drain batch bound (backlog- and pressure-scaled).",
@@ -283,7 +267,7 @@ func (q *RetireQueue) RegisterMetrics(reg *metrics.Registry) {
 
 func (q *RetireQueue) drainer() {
 	defer q.wg.Done()
-	// One timer serves both the poll and drainShard's inter-burst
+	// One timer serves both the poll and drainRing's inter-burst
 	// delay: a fresh time.After per pass would allocate on every poll
 	// of an idle queue.
 	timer := time.NewTimer(q.opts.Poll)
@@ -295,16 +279,16 @@ func (q *RetireQueue) drainer() {
 		case <-q.kick:
 		case <-timer.C:
 		}
-		for i := range q.shards {
-			q.drainShard(i, timer)
+		for i := range q.rings {
+			q.drainRing(&q.rings[i], timer)
 		}
-		if q.pending.Load() > 0 {
+		if pending := q.Pending(); pending > 0 {
 			// Keep demand raised until the backlog clears: the epoch
 			// machinery clears demand at grace-period boundaries, and
 			// entries stamped just before a boundary outlive it. A
 			// backlog past the qhimark means the drain is losing the
 			// race — escalate.
-			if q.opts.Qhimark > 0 && q.pending.Load() > int64(q.opts.Qhimark) {
+			if q.opts.Qhimark > 0 && pending > int64(q.opts.Qhimark) {
 				q.gp.ExpediteGP()
 			} else {
 				q.gp.NeedGP()
@@ -314,36 +298,16 @@ func (q *RetireQueue) drainer() {
 	}
 }
 
-// drainShard invokes the elapsed prefix of shard i's bag in bounded
-// bursts, sleeping delay on the drainer's timer between bursts only at
-// the throttled rate (never when pressured or backlogged past
-// qhimark/2). A nil timer means the queue is stopping: drain without
-// pausing.
-func (q *RetireQueue) drainShard(i int, timer *time.Timer) {
-	s := q.shards[i]
+// drainRing invokes the elapsed prefix of ring in bounded bursts,
+// sleeping delay on the drainer's timer between bursts only at the
+// throttled rate (never when pressured or backlogged past qhimark/2).
+// A nil timer means the queue is stopping: drain without pausing.
+func (q *RetireQueue) drainRing(ring *RetireRing, timer *time.Timer) {
 	for {
 		limit, expedited := q.effectiveBatch()
-		s.mu.Lock()
-		ready := 0
-		for ready < len(s.bag) && ready < limit && q.gp.Elapsed(s.bag[ready].Cookie) {
-			ready++
-		}
-		if cap(s.burst) < ready {
-			s.burst = make([]Retired, ready)
-		}
-		burst := s.burst[:ready]
-		copy(burst, s.bag[:ready])
-		// Compact in place instead of re-slicing the front away:
-		// s.bag = s.bag[ready:] would strand the drained prefix's
-		// capacity and force the enqueue side to reallocate forever.
-		n := copy(s.bag, s.bag[ready:])
-		tail := s.bag[n:]
-		for i := range tail {
-			tail[i] = Retired{} // drop payload references
-		}
-		s.bag = s.bag[:n]
-		s.mu.Unlock()
-		if ready == 0 {
+		burst := ring.TakeReady(q.burst, limit, q.gp)
+		q.burst = burst
+		if len(burst) == 0 {
 			return
 		}
 		if expedited {
@@ -351,10 +315,9 @@ func (q *RetireQueue) drainShard(i int, timer *time.Timer) {
 		}
 		for i := range burst {
 			burst[i].Reclaim()
-			burst[i] = Retired{}
 		}
-		s.done.Add(uint64(ready))
-		q.pending.Add(-int64(ready))
+		clear(burst) // drop payload references
+		ring.Done(len(burst))
 		if timer != nil && q.opts.Delay > 0 && !expedited {
 			resetTimer(timer, q.opts.Delay)
 			select {

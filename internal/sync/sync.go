@@ -17,8 +17,9 @@
 // Every backend embeds a Driver, which owns grace-period demand, pacing,
 // the blocking waits, shutdown and the shared prudence_gp_* series; the
 // backend supplies only its Policy — what one advance waits for and
-// publishes. RetireQueue is the shared limbo-bag drain the epoch engine
-// retires through.
+// publishes. RetireRing is the per-CPU retirement list: rcu's callback
+// lists and the bags of RetireQueue, the drain the epoch engine retires
+// through.
 //
 // Backends self-register from an init function, database/sql style:
 //
